@@ -7,6 +7,7 @@ enumeration, which bounds how much the greedy heuristic gives up.
 
 from __future__ import annotations
 
+from repro.core.pipeline import ObjectCatalog
 from repro.core.policies import (
     StaticPolicy,
     accumulate_object_yields,
@@ -14,7 +15,7 @@ from repro.core.policies import (
     choose_static_objects_exact,
 )
 from repro.sim.reporting import format_table
-from repro.sim.simulator import ObjectCatalog, Simulator
+from repro.sim.simulator import Simulator
 
 
 def run_comparison(context, fraction=0.3):

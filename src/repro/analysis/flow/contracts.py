@@ -185,9 +185,7 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
                 "peer_hits",
             }
         ),
-        mutators=frozenset(
-            {"charge", "charge_resolved", "charge_event"}
-        ),
+        mutators=frozenset({"charge", "charge_event"}),
         description="per-run simulation counters",
     ),
     EffectContract(
@@ -374,23 +372,17 @@ LOCK_GUARDED_OWNERS: FrozenSet[str] = frozenset(
     {"BypassObjectCache", "VictimHeap", "TrafficLedger"}
 )
 
-#: The sanctioned lock-holder seam: the ``DecisionGate`` methods that
-#: take the decision lock before replaying the simulator's per-query
-#: sequence.  Service code reaching guarded state through any other
-#: path defeats the lock.
+#: The sanctioned lock-holder seam: the ``DecisionGate`` method that
+#: takes the decision lock before running the shared per-query step.
+#: Service code reaching guarded state through any other path defeats
+#: the lock.
 LOCK_HOLDER_QUALNAMES: FrozenSet[str] = frozenset(
-    {
-        "repro.service.session.DecisionGate.locked_resolve",
-        "repro.service.session.DecisionGate.locked_shed",
-        "repro.service.session.DecisionGate.locked_reject",
-    }
+    {"repro.service.session.DecisionGate.locked_resolve"}
 )
 
 #: Bare-name fallback for the seam (fixture projects and re-exports
 #: resolve identically, mirroring NONDET_SEAM_NAMES).
-LOCK_HOLDER_NAMES: FrozenSet[str] = frozenset(
-    {"locked_resolve", "locked_shed", "locked_reject"}
-)
+LOCK_HOLDER_NAMES: FrozenSet[str] = frozenset({"locked_resolve"})
 
 #: Mutator bare names too generic to police by name alone — ``set``
 #: is also asyncio.Event.set, ``request`` is also

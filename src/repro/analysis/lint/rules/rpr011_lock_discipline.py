@@ -4,8 +4,8 @@ The mediator service's concurrency discipline (DESIGN.md §15) is that
 the PR-4 policy state — the Landlord victim heaps and global credit
 offset (``BypassObjectCache``/``VictimHeap``) and the federation
 ``TrafficLedger`` — mutates only under the per-federation decision
-lock, and the only sanctioned lock holders are the ``locked_*``
-methods of :class:`repro.service.session.DecisionGate`.
+lock, and the only sanctioned lock holder is
+:meth:`repro.service.session.DecisionGate.locked_resolve`.
 
 This rule polices serving code (any module with a ``service`` package
 segment) for paths around that seam:
@@ -134,9 +134,8 @@ class LockDisciplineRule(Rule):
             message=(
                 f"{facts.qualname} calls {owner}.{method}() from "
                 f"service code outside the decision-lock holder seam "
-                f"(DecisionGate.locked_resolve/locked_shed/"
-                f"locked_reject); lock-guarded state must not mutate "
-                f"off the lock"
+                f"(DecisionGate.locked_resolve); lock-guarded state "
+                f"must not mutate off the lock"
             ),
         )
 

@@ -1,11 +1,9 @@
 """The shared offline/online decision pipeline.
 
-All three replay drivers — the offline
-:class:`~repro.sim.simulator.Simulator`, the online
-:class:`~repro.core.proxy.BypassYieldProxy`, and the serving
-:class:`~repro.service.server.MediatorService` (whose
-:class:`~repro.service.session.DecisionGate` replays the simulator's
-per-query sequence under the decision lock) — must present *exactly*
+Every driver — the offline :class:`~repro.sim.simulator.Simulator`,
+the cooperative fleet, the serving
+:class:`~repro.service.session.DecisionGate` and the online
+:class:`~repro.core.proxy.BypassYieldProxy` — must present *exactly*
 the same view of a query to the cache policy and charge *exactly* the
 same WAN costs for its decision; the paper's "the simulator and the
 proxy agree" claim (and the service's golden-equivalence guarantee) is
@@ -17,7 +15,10 @@ implementation:
   :func:`shared_catalog`;
 * :class:`DecisionPipeline` — query → :class:`~repro.core.events.CacheQuery`
   construction (yield attribution plus the BYHR/BYU
-  ``policy_sees_weights`` cost views) and WAN-cost accounting;
+  ``policy_sees_weights`` cost views), WAN-cost accounting, and
+  :meth:`DecisionPipeline.step`, the one per-query sequence (decide →
+  account → charge → emit) every prepared-trace driver calls — the
+  drivers differ only in where their events come from;
 * :class:`QueryAccounting` — the per-query cost record both drivers
   produce;
 * :class:`CompiledTrace` — a prepared trace fully lowered to the
@@ -39,6 +40,7 @@ import weakref
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -69,9 +71,11 @@ from repro.core.yield_model import (
 from repro.errors import CacheError
 from repro.federation.federation import Federation
 from repro.obs.spans import (
+    STAGE_ACCOUNT,
     STAGE_BYPASS,
     STAGE_DECIDE,
     STAGE_LOAD,
+    STAGE_QUERY,
     Tracer,
     live_tracer,
 )
@@ -81,6 +85,7 @@ from repro.workload.trace import PreparedQuery, PreparedTrace
 if TYPE_CHECKING:  # typing-only: keeps repro.core import-light
     from repro.core.policies.base import CachePolicy
     from repro.faults.transport import ResilientTransport
+    from repro.sim.results import SimulationResult
 
 GRANULARITIES = ("table", "column")
 
@@ -276,8 +281,9 @@ class QueryAccounting:
 class ResolvedQuery:
     """One query's outcome under a fault-aware replay.
 
-    Produced by :meth:`DecisionPipeline.resolve`; consumed by
-    :meth:`~repro.sim.results.SimulationResult.charge_resolved`.
+    Produced by :meth:`DecisionPipeline.resolve`; unpacked by
+    :meth:`DecisionPipeline.step` into the one
+    :meth:`~repro.sim.results.SimulationResult.charge`.
 
     Attributes:
         decision: What the policy asked for (before faults intervened).
@@ -299,7 +305,7 @@ class ResolvedQuery:
 
 
 class DecisionPipeline:
-    """Query construction + WAN accounting shared by simulator and proxy.
+    """Query construction, WAN accounting and the per-query step.
 
     Args:
         federation: Object metadata, link weights, servers.
@@ -407,6 +413,17 @@ class DecisionPipeline:
             sql=prepared.sql,
         )
 
+    def compile_query(
+        self, prepared: PreparedQuery, index: int
+    ) -> CompiledQuery:
+        """Lower one prepared query to the event :meth:`step` consumes."""
+        return CompiledQuery(
+            query=self.query_from_prepared(prepared, index),
+            bypass_bytes=prepared.bypass_bytes,
+            servers=tuple(prepared.servers),
+            tenant=prepared.tenant,
+        )
+
     def compile_trace(
         self, trace: "PreparedTrace | CompiledTrace"
     ) -> CompiledTrace:
@@ -452,21 +469,11 @@ class DecisionPipeline:
         the full event list never exists in memory.
         """
         for index, prepared in enumerate(queries):
-            yield CompiledQuery(
-                query=self.query_from_prepared(prepared, index),
-                bypass_bytes=prepared.bypass_bytes,
-                servers=tuple(prepared.servers),
-                tenant=prepared.tenant,
-            )
+            yield self.compile_query(prepared, index)
 
     def _build_compiled(self, trace: PreparedTrace) -> CompiledTrace:
         events = tuple(
-            CompiledQuery(
-                query=self.query_from_prepared(prepared, index),
-                bypass_bytes=prepared.bypass_bytes,
-                servers=tuple(prepared.servers),
-                tenant=prepared.tenant,
-            )
+            self.compile_query(prepared, index)
             for index, prepared in enumerate(trace)
         )
         totals = accumulate_object_yields(trace, self.granularity)
@@ -534,9 +541,41 @@ class DecisionPipeline:
         bypass_bytes: int,
         servers: Sequence[str] = (),
         per_server_bytes: Optional[Mapping[str, int]] = None,
+        peer_loads: Sequence[str] = (),
     ) -> QueryAccounting:
-        """Charge one decision: loads always, bypass unless served."""
-        load_bytes, load_cost = self.load_accounting(decision.loads)
+        """Charge one decision: loads always, bypass unless served.
+
+        ``peer_loads`` names the subset of ``decision.loads`` a sibling
+        proxy supplied (cooperative fleets only): those objects move
+        over the peer link class (``peer_weight × bytes``, off the WAN)
+        while the remainder pays the normal backend fetch.  The
+        decision itself is untouched: cooperation changes where bytes
+        come from, never what the policy chose (policies stay
+        cooperation-blind, exactly as they are fault-blind).
+        """
+        loads: Sequence[str] = decision.loads
+        peer_bytes = ZERO_BYTES
+        peer_cost = ZERO_COST
+        if peer_loads:
+            peers = frozenset(peer_loads)
+            network = self.federation.network
+            for object_id in loads:
+                if object_id in peers:
+                    size = self.catalog.size(object_id)
+                    peer_bytes = RawBytes(peer_bytes + size)
+                    peer_cost = WeightedCost(
+                        peer_cost + network.peer_cost(size)
+                    )
+            loads = [
+                object_id
+                for object_id in loads
+                if object_id not in peers
+            ]
+        # Most queries load nothing; skip the call.
+        if loads:
+            load_bytes, load_cost = self.load_accounting(loads)
+        else:
+            load_bytes, load_cost = ZERO_BYTES, ZERO_COST
         if decision.served_from_cache:
             charged_bypass, charged_cost = ZERO_BYTES, ZERO_COST
         else:
@@ -544,58 +583,6 @@ class DecisionPipeline:
             charged_cost = self.bypass_cost(
                 bypass_bytes, servers, per_server_bytes
             )
-        return QueryAccounting(
-            load_bytes=load_bytes,
-            load_cost=load_cost,
-            bypass_bytes=charged_bypass,
-            bypass_cost=charged_cost,
-        )
-
-    def account_cooperative(
-        self,
-        decision: Decision,
-        bypass_bytes: int,
-        servers: Sequence[str] = (),
-        peer_loads: Sequence[str] = (),
-    ) -> QueryAccounting:
-        """Charge one decision when some loads came from sibling shards.
-
-        ``peer_loads`` names the subset of ``decision.loads`` a sibling
-        proxy supplied: those objects move over the peer link class
-        (``peer_weight × bytes``, off the WAN) while the remainder pays
-        the normal backend fetch.  With no peer loads this delegates to
-        :meth:`account` — the identity that makes single-shard
-        cooperative replays byte-identical to the independent path.
-
-        The decision itself is untouched: cooperation changes where
-        bytes come from, never what the policy chose (policies stay
-        cooperation-blind, exactly as they are fault-blind).
-        """
-        if not peer_loads:
-            return self.account(decision, bypass_bytes, servers)
-        peers = frozenset(peer_loads)
-        backend_loads = [
-            object_id
-            for object_id in decision.loads
-            if object_id not in peers
-        ]
-        load_bytes, load_cost = self.load_accounting(backend_loads)
-        peer_bytes = ZERO_BYTES
-        peer_cost = ZERO_COST
-        network = self.federation.network
-        for object_id in decision.loads:
-            if object_id not in peers:
-                continue
-            size = self.catalog.size(object_id)
-            peer_bytes = RawBytes(peer_bytes + size)
-            peer_cost = WeightedCost(
-                peer_cost + network.peer_cost(size)
-            )
-        if decision.served_from_cache:
-            charged_bypass, charged_cost = ZERO_BYTES, ZERO_COST
-        else:
-            charged_bypass = raw_bytes(bypass_bytes)
-            charged_cost = self.bypass_cost(bypass_bytes, servers)
         return QueryAccounting(
             load_bytes=load_bytes,
             load_cost=load_cost,
@@ -819,6 +806,132 @@ class DecisionPipeline:
             retries=retries,
             failed_loads=tuple(failed_loads),
         )
+
+    # -- the per-query step ----------------------------------------------
+
+    def step(
+        self,
+        event: CompiledQuery,
+        policy: "CachePolicy",
+        result: "SimulationResult",
+        index: int,
+        transport: "Optional[ResilientTransport]" = None,
+        partial_results: bool = False,
+        peer_lookup: Optional[Callable[[str], Optional[str]]] = None,
+        source: str = "simulator",
+        shard: str = "",
+        outcome: str = "",
+    ) -> Tuple[Decision, QueryAccounting]:
+        """Decide one query and settle it: the whole per-query sequence.
+
+        Opens the ``query`` root span, decides, accounts, closes the
+        span, charges ``result`` once and emits the
+        :class:`~repro.core.instrumentation.DecisionEvent` once.  Every
+        prepared-trace driver calls this and nothing else per query;
+        they differ only in where ``event`` comes from.
+
+        Args:
+            index: The query's position in its driver's decided order;
+                also the logical fault tick under a transport.
+            transport: When set the WAN sits behind it and
+                :meth:`resolve` decides what actually happened.
+            partial_results: As in :meth:`resolve`.
+            peer_lookup: Fleet hook naming the sibling holding an
+                object (or None); loads it names ride the peer link.
+                Consulted on the fault-free path only.
+            source: The driver, as stamped on the emitted event.
+            shard: The deciding fleet shard ("" outside fleets).
+            outcome: Preset by admission control, the policy not
+                consulted and its state untouched: ``"shed"`` bypasses
+                the query past the cache, ``"unavailable"`` refuses it
+                and moves zero bytes.  "" lets the policy decide.
+        """
+        query = event.query
+        tracer = self.tracer
+        root = None
+        if tracer is not None:
+            root = tracer.start(
+                STAGE_QUERY, index=index, tenant=event.tenant
+            )
+        retries = 0
+        failed_loads = 0
+        peer_hits = 0
+        if transport is not None:
+            resolved = self.resolve(
+                event,
+                policy,
+                transport,
+                tick=index,
+                partial_results=partial_results,
+            )
+            decision = resolved.decision
+            accounting = resolved.accounting
+            outcome = resolved.outcome
+            retries = resolved.retries
+            failed_loads = len(resolved.failed_loads)
+        elif outcome:
+            decision = Decision(served_from_cache=False)
+            refused = outcome == OUTCOME_UNAVAILABLE
+            accounting = self.account(
+                decision,
+                bypass_bytes=0 if refused else event.bypass_bytes,
+                servers=event.servers,
+            )
+        else:
+            if tracer is not None:
+                with tracer.span(STAGE_DECIDE, index=index):
+                    decision = policy.process(query)
+            else:
+                decision = policy.process(query)
+            peer_loads: Sequence[str] = ()
+            if peer_lookup is not None and decision.loads:
+                peer_loads = [
+                    object_id
+                    for object_id in decision.loads
+                    if peer_lookup(object_id) is not None
+                ]
+                peer_hits = len(peer_loads)
+            if tracer is not None:
+                with tracer.span(STAGE_ACCOUNT, index=index):
+                    accounting = self.account(
+                        decision,
+                        bypass_bytes=event.bypass_bytes,
+                        servers=event.servers,
+                        peer_loads=peer_loads,
+                    )
+            else:
+                accounting = self.account(
+                    decision,
+                    bypass_bytes=event.bypass_bytes,
+                    servers=event.servers,
+                    peer_loads=peer_loads,
+                )
+        if tracer is not None and root is not None:
+            if outcome:
+                root.set("outcome", outcome)
+            tracer.finish(
+                root,
+                bytes_moved=int(accounting.wan_bytes),
+                served=decision.served_from_cache,
+            )
+        result.charge(
+            accounting, decision, peer_hits, outcome, retries, failed_loads
+        )
+        if self.instrumentation is not None:
+            self.emit_decision(
+                index=index,
+                source=source,
+                policy_name=policy.name,
+                decision=decision,
+                accounting=accounting,
+                sql=query.sql,
+                yield_bytes=query.yield_bytes,
+                retries=retries,
+                outcome=outcome,
+                tenant=event.tenant,
+                shard=shard,
+            )
+        return decision, accounting
 
     # -- instrumentation -------------------------------------------------
 

@@ -200,7 +200,17 @@ class BypassYieldProxy:
         )
 
     def query(self, sql: str) -> ProxyResponse:
-        """Serve one query, making the bypass/load decision."""
+        """Serve one query, making the bypass/load decision.
+
+        With a transport attached the transfers can fail: failed loads
+        roll back, a serve missing its load degrades to a bypass, a
+        dark bypass falls back to the cache when everything the query
+        touches is resident, and whatever remains surfaces as an
+        ``"unavailable"`` response rather than an exception (mirroring
+        :meth:`DecisionPipeline.resolve` for the online path).  Without
+        one ``BackendUnavailable`` is never raised and the same body
+        is the fault-free path.
+        """
         with self._stage("proxy.plan"):
             plan = self.mediator.plan(sql)
         with self._stage("proxy.evaluate"):
@@ -211,17 +221,25 @@ class BypassYieldProxy:
         index = self.queries_handled
         self.queries_handled += 1
 
-        if self.transport is not None:
+        transport = self.transport
+        ledger = self.mediator.ledger
+        peer_lookup = self.peer_lookup
+        retries_before = 0
+        if transport is not None:
             if self.mediator.clock is not None:
                 self.mediator.clock.advance_to(index)
-            return self._query_resilient(sql, plan, result, event,
-                                         decision, index)
+            # The backend fetch already carries the fault semantics.
+            peer_lookup = None
+            retries_before = transport.stats()["retries"]
+        retry_bytes_before = ledger.retry_bytes
+        retry_cost_before = ledger.retry_cost
 
         load_bytes = ZERO_BYTES
         load_cost = ZERO_COST
         peer_bytes = ZERO_BYTES
         peer_cost = ZERO_COST
-        peer_lookup = self.peer_lookup
+        failed_loads: List[str] = []
+        final_result: Optional[ResultSet] = result
         with self._stage("proxy.transfer"):
             for object_id in decision.loads:
                 provider = (
@@ -235,76 +253,7 @@ class BypassYieldProxy:
                     )
                     peer_bytes = RawBytes(peer_bytes + size)
                     peer_cost = WeightedCost(peer_cost + cost)
-                else:
-                    size, cost = self.mediator.load_object(object_id)
-                    load_bytes = RawBytes(load_bytes + size)
-                    load_cost = WeightedCost(load_cost + cost)
-            if decision.served_from_cache:
-                bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
-                self.mediator.serve_from_cache(result)
-            else:
-                outcome = self.mediator.bypass(sql, plan, result)
-                bypass_bytes = outcome.wan_bytes
-                bypass_cost = outcome.wan_cost
-
-        self.pipeline.emit_decision(
-            index=index,
-            source="proxy",
-            policy_name=self.policy.name,
-            decision=decision,
-            accounting=QueryAccounting(
-                load_bytes=load_bytes,
-                load_cost=load_cost,
-                bypass_bytes=bypass_bytes,
-                bypass_cost=bypass_cost,
-                peer_bytes=peer_bytes,
-                peer_cost=peer_cost,
-            ),
-            sql=sql,
-            yield_bytes=event.yield_bytes,
-        )
-        return ProxyResponse(
-            result=result,
-            served_from_cache=decision.served_from_cache,
-            loads=decision.loads,
-            evictions=decision.evictions,
-            wan_bytes=load_bytes + bypass_bytes,
-            outcome=(
-                OUTCOME_SERVED
-                if decision.served_from_cache
-                else OUTCOME_BYPASSED
-            ),
-        )
-
-    def _query_resilient(
-        self,
-        sql: str,
-        plan: QueryPlan,
-        result: ResultSet,
-        event: CacheQuery,
-        decision,
-        index: int,
-    ) -> ProxyResponse:
-        """The transfer/accounting stage when a transport is attached.
-
-        Mirrors :meth:`DecisionPipeline.resolve` for the online path:
-        failed loads roll back, a serve missing its load degrades to a
-        bypass, a dark bypass falls back to the cache when everything
-        the query touches is resident, and whatever remains surfaces as
-        an ``"unavailable"`` response rather than an exception.
-        """
-        assert self.transport is not None
-        ledger = self.mediator.ledger
-        retries_before = self.transport.stats()["retries"]
-        retry_bytes_before = ledger.retry_bytes
-        retry_cost_before = ledger.retry_cost
-
-        load_bytes = ZERO_BYTES
-        load_cost = ZERO_COST
-        failed_loads: List[str] = []
-        final_result: Optional[ResultSet] = result
-        with self._stage("proxy.transfer"):
-            for object_id in decision.loads:
+                    continue
                 try:
                     size, cost = self.mediator.load_object(object_id)
                 except BackendUnavailable:
@@ -320,33 +269,33 @@ class BypassYieldProxy:
                 if needed.intersection(failed_loads):
                     wants_serve = False
 
+            bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
+            outcome = OUTCOME_SERVED
             if wants_serve:
-                bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
                 self.mediator.serve_from_cache(result)
-                outcome_label = OUTCOME_SERVED
             else:
                 try:
                     shipped = self.mediator.bypass(sql, plan, result)
                 except BackendUnavailable:
-                    bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
                     resident = bool(event.objects) and all(
                         request.object_id in self.policy.store
                         for request in event.objects
                     )
                     if resident:
                         self.mediator.serve_from_cache(result)
-                        outcome_label = OUTCOME_SERVED
                     else:
-                        outcome_label = OUTCOME_UNAVAILABLE
+                        outcome = OUTCOME_UNAVAILABLE
                         final_result = None
                 else:
                     bypass_bytes = shipped.wan_bytes
                     bypass_cost = shipped.wan_cost
-                    outcome_label = OUTCOME_BYPASSED
+                    outcome = OUTCOME_BYPASSED
 
         retry_bytes = RawBytes(ledger.retry_bytes - retry_bytes_before)
         retry_cost = WeightedCost(ledger.retry_cost - retry_cost_before)
-        retries = self.transport.stats()["retries"] - retries_before
+        retries = 0
+        if transport is not None:
+            retries = transport.stats()["retries"] - retries_before
 
         self.pipeline.emit_decision(
             index=index,
@@ -360,11 +309,15 @@ class BypassYieldProxy:
                 bypass_cost=bypass_cost,
                 retry_bytes=retry_bytes,
                 retry_cost=retry_cost,
+                peer_bytes=peer_bytes,
+                peer_cost=peer_cost,
             ),
             sql=sql,
             yield_bytes=event.yield_bytes,
             retries=retries,
-            outcome=outcome_label,
+            # Fault-free events carry no outcome: pre-fault traces stay
+            # byte-identical.
+            outcome=outcome if transport is not None else "",
         )
         return ProxyResponse(
             result=final_result,
@@ -372,7 +325,7 @@ class BypassYieldProxy:
             loads=decision.loads,
             evictions=decision.evictions,
             wan_bytes=load_bytes + bypass_bytes + retry_bytes,
-            outcome=outcome_label,
+            outcome=outcome,
             retries=retries,
             failed_loads=failed_loads,
         )

@@ -12,7 +12,8 @@ Design invariants:
 * **Policies are cooperation-blind.**  ``policy.process(query)`` sees
   exactly the event it would see in an independent replay — cooperation
   only changes where load bytes are *sourced* (peer vs backend), via
-  :meth:`~repro.core.pipeline.DecisionPipeline.account_cooperative`.
+  the ``peer_lookup`` hook of
+  :meth:`~repro.core.pipeline.DecisionPipeline.step`.
   Consequently a single-shard cooperative run is byte-identical to the
   independent path, and an N-shard cooperative run makes the *same
   decisions* as N independent caches while paying strictly less WAN
@@ -34,7 +35,15 @@ Design invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.instrumentation import Instrumentation
 from repro.core.pipeline import DecisionPipeline
@@ -153,98 +162,60 @@ def run_cooperative(
             )
         )
 
-    emit = instrumentation is not None
+    def lookup_for(requester: str) -> Callable[[str], Optional[str]]:
+        """The shard's peer hook: first live sibling holding an object,
+        ring owner probed first.
+
+        Residency is a read-only store-membership check — sibling
+        policy state (recency, credits, heaps) is never touched, so a
+        probe can never perturb the sibling's own decisions.
+        """
+
+        def lookup(object_id: str) -> Optional[str]:
+            owner = ring.owner(object_id)
+            candidates = [owner] if owner != requester else []
+            if probe_all_siblings:
+                candidates.extend(
+                    name
+                    for name in names
+                    if name != requester and name != owner
+                )
+            for candidate in candidates:
+                # ``tick`` is the round being replayed (the loop below).
+                if engine is not None and not engine.is_up(candidate, tick):
+                    continue
+                if object_id in policies[candidate].store:
+                    return candidate
+            return None
+
+        return lookup
+
+    lookups = [
+        lookup_for(client.name) if cooperative else None
+        for client in clients
+    ]
     rounds = max(len(stream.events) for stream in compiled)
     for tick in range(rounds):
         for position, client in enumerate(clients):
             events = compiled[position].events
-            if tick >= len(events):
-                continue
-            event = events[tick]
-            policy = client.policy
-            decision = policy.process(event.query)
-
-            peer_loads: List[str] = []
-            if cooperative and decision.loads:
-                for object_id in decision.loads:
-                    provider = _find_provider(
-                        object_id,
-                        client.name,
-                        names,
-                        policies,
-                        ring,
-                        engine,
-                        tick,
-                        probe_all_siblings,
-                    )
-                    if provider is not None:
-                        peer_loads.append(object_id)
-
-            accounting = pipeline.account_cooperative(
-                decision,
-                bypass_bytes=event.bypass_bytes,
-                servers=event.servers,
-                peer_loads=peer_loads,
-            )
-            result = results[position]
-            result.charge(
-                accounting, decision, peer_hits=len(peer_loads)
-            )
             total = len(events)
-            stride = strides[position]
+            if tick >= total:
+                continue
+            result = results[position]
+            pipeline.step(
+                events[tick],
+                client.policy,
+                result,
+                tick,
+                source="fleet",
+                shard=client.name,
+                peer_lookup=lookups[position],
+            )
             if record_series and (
-                (tick + 1) % stride == 0 or tick == total - 1
+                (tick + 1) % strides[position] == 0 or tick == total - 1
             ):
-                result.cumulative_bytes.append(  # repro-lint: allow[RPR007] classic recorder, mirrors Simulator.run
-                    result.breakdown.total_bytes
-                )
-            if emit:
-                pipeline.emit_decision(
-                    index=tick,
-                    source="fleet",
-                    policy_name=policy.name,
-                    decision=decision,
-                    accounting=accounting,
-                    sql=event.query.sql,
-                    yield_bytes=event.query.yield_bytes,
-                    tenant=event.tenant,
-                    shard=client.name,
-                )
+                result.cumulative_bytes.append(result.breakdown.total_bytes)
 
     for result, stream in zip(results, compiled):
         result.queries = len(stream.events)
     return results
-
-
-def _find_provider(
-    object_id: str,
-    requester: str,
-    names: Sequence[str],
-    policies: Dict[str, CachePolicy],
-    ring: ConsistentHashRing,
-    engine: Optional[FaultEngine],
-    tick: int,
-    probe_all_siblings: bool,
-) -> Optional[str]:
-    """First live sibling holding ``object_id``, owner probed first.
-
-    Residency is a read-only store-membership check — sibling policy
-    state (recency, credits, heaps) is never touched, so a probe can
-    never perturb the sibling's own decisions.
-    """
-    owner = ring.owner(object_id)
-    candidates: List[str] = []
-    if owner != requester:
-        candidates.append(owner)
-    if probe_all_siblings:
-        candidates.extend(
-            name
-            for name in names
-            if name != requester and name != owner
-        )
-    for candidate in candidates:
-        if engine is not None and not engine.is_up(candidate, tick):
-            continue
-        if object_id in policies[candidate].store:
-            return candidate
-    return None

@@ -159,15 +159,15 @@ class MediatorService:
         status = self.admission.admit(request.tenant, tick)
         prepared = request.prepared
         if status is AdmissionStatus.REJECT:
-            index, _, accounting = await self.gate.locked_reject(
-                prepared
+            index, _, accounting = await self.gate.locked_resolve(
+                prepared, outcome="unavailable"
             )
             return self._response(
                 request, "rejected", "unavailable", index, accounting
             )
         if status is AdmissionStatus.SHED:
-            index, _, accounting = await self.gate.locked_shed(
-                prepared
+            index, _, accounting = await self.gate.locked_resolve(
+                prepared, outcome="shed"
             )
             # Bypass shipping overlaps outside the decision lock.
             await self._ship(accounting)

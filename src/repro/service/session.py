@@ -3,7 +3,7 @@
 Concurrency discipline (DESIGN.md §15): the PR-4 policy state — the
 Landlord victim heaps, the global credit offset, the traffic ledger —
 mutates **only** under the per-federation decision lock, and only
-inside the ``locked_*`` methods of :class:`DecisionGate`.  Everything
+inside :meth:`DecisionGate.locked_resolve`.  Everything
 else in :mod:`repro.service` (scheduler, server, loadgen) treats
 policy, result, and pipeline as opaque: repro-lint RPR011 flags any
 service code path that reaches a decision-lock-guarded mutator without
@@ -26,12 +26,7 @@ import weakref
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.events import Decision
-from repro.core.pipeline import DecisionPipeline, ResolvedQuery
-from repro.obs.spans import (
-    STAGE_ACCOUNT,
-    STAGE_DECIDE,
-    STAGE_QUERY,
-)
+from repro.core.pipeline import DecisionPipeline
 from repro.sim.results import SimulationResult
 from repro.sim.streaming import SampledSeries
 
@@ -60,13 +55,13 @@ def decision_lock_for(federation: object) -> asyncio.Lock:
 class DecisionGate:
     """The sanctioned lock-holder seam around one shared cache.
 
-    One gate wraps one (pipeline, policy, result) triple.  Its three
-    ``locked_*`` methods are the *only* places in :mod:`repro.service`
-    allowed to touch decision-lock-guarded state (RPR011); each takes
-    the per-federation decision lock, replays the exact per-query
-    sequence of :meth:`Simulator.run_stream` — process, account,
-    charge, record, emit — and releases the lock before the caller
-    ships any bytes.
+    One gate wraps one (pipeline, policy, result) triple.
+    :meth:`locked_resolve` is the *only* place in :mod:`repro.service`
+    allowed to touch decision-lock-guarded state (RPR011): it takes
+    the per-federation decision lock, runs the shared per-query
+    :meth:`~repro.core.pipeline.DecisionPipeline.step` on the next
+    admitted query, and releases the lock before the caller ships any
+    bytes.
     """
 
     def __init__(
@@ -107,140 +102,45 @@ class DecisionGate:
         return self._rejected
 
     async def locked_resolve(
-        self, prepared: "PreparedQuery"
+        self, prepared: "PreparedQuery", outcome: str = ""
     ) -> Tuple[int, Decision, "QueryAccounting"]:
-        """Full service: decide one query under the decision lock.
+        """Decide one query under the decision lock.
 
         The lock covers policy mutation (victim heaps, Landlord
-        offset), result charging, series recording, and event
-        emission — the atomic unit whose ordering defines the run.
-        The WAN transfer itself happens in the caller, outside.
-        """
-        pipeline = self.pipeline
-        policy = self.policy
-        async with self._lock:
-            index = self._decided
-            self._decided += 1
-            self._sequence_bytes += prepared.bypass_bytes
-            query = pipeline.query_from_prepared(prepared, index)
-            tracer = pipeline.tracer
-            if tracer is not None:
-                root = tracer.start(
-                    STAGE_QUERY, index=index, tenant=prepared.tenant
-                )
-                with tracer.span(STAGE_DECIDE, index=index):
-                    decision = policy.process(query)
-                with tracer.span(STAGE_ACCOUNT, index=index):
-                    accounting = pipeline.account(
-                        decision,
-                        bypass_bytes=prepared.bypass_bytes,
-                        servers=tuple(prepared.servers),
-                    )
-                tracer.finish(
-                    root,
-                    bytes_moved=int(accounting.wan_bytes),
-                    served=decision.served_from_cache,
-                )
-            else:
-                decision = policy.process(query)
-                accounting = pipeline.account(
-                    decision,
-                    bypass_bytes=prepared.bypass_bytes,
-                    servers=tuple(prepared.servers),
-                )
-            self.result.charge(accounting, decision)
-            if self._series is not None:
-                self._series.observe(self.result.breakdown.total_bytes)
-            pipeline.emit_decision(
-                index=index,
-                source=self.source,
-                policy_name=policy.name,
-                decision=decision,
-                accounting=accounting,
-                sql=prepared.sql,
-                yield_bytes=prepared.yield_bytes,
-                tenant=prepared.tenant,
-            )
-        return index, decision, accounting
+        offset), result charging, event emission and series recording
+        — the atomic unit whose ordering defines the run.  The WAN
+        transfer itself happens in the caller, outside.
 
-    async def locked_shed(
-        self, prepared: "PreparedQuery"
-    ) -> Tuple[int, Decision, "QueryAccounting"]:
-        """Degraded service: bypass-only, policy state untouched.
-
-        A shed query still gets its answer — the result ships past the
-        cache exactly as a policy bypass would — but the shared cache
+        ``outcome`` is the admission verdict.  "" is full service.
+        ``"shed"`` is degraded service: the result ships past the
+        cache exactly as a policy bypass would, but the shared cache
         is never consulted or mutated, so an overloaded (or
         rate-limited) tenant costs other tenants no heap churn.
-        Charged and emitted under the lock so aggregate accounting
-        stays a partition (outcome ``"shed"``).
+        ``"unavailable"`` is refusal: zero bytes move.  Both are
+        charged and emitted under the lock like any other query, so
+        aggregate accounting stays a partition and the availability
+        SLO sees every refusal.
         """
         pipeline = self.pipeline
         async with self._lock:
             index = self._decided
             self._decided += 1
             self._sequence_bytes += prepared.bypass_bytes
-            self._shed += 1
-            decision = Decision(served_from_cache=False)
-            accounting = pipeline.account(
-                decision,
-                bypass_bytes=prepared.bypass_bytes,
-                servers=tuple(prepared.servers),
+            if outcome == "shed":
+                self._shed += 1
+            elif outcome:
+                self._rejected += 1
+            decision, accounting = pipeline.step(
+                pipeline.compile_query(prepared, index),
+                self.policy,
+                self.result,
+                index,
+                source=self.source,
+                outcome=outcome,
             )
-            self.result.charge(accounting, decision)
             if self._series is not None:
                 self._series.observe(self.result.breakdown.total_bytes)
-            pipeline.emit_decision(
-                index=index,
-                source=self.source,
-                policy_name=self.policy.name,
-                decision=decision,
-                accounting=accounting,
-                sql=prepared.sql,
-                yield_bytes=prepared.yield_bytes,
-                outcome="shed",
-                tenant=prepared.tenant,
-            )
         return index, decision, accounting
-
-    async def locked_reject(
-        self, prepared: "PreparedQuery"
-    ) -> Tuple[int, Decision, "QueryAccounting"]:
-        """Refusal: zero bytes move, the query surfaces unavailable.
-
-        Only reached when the tenant is over its soft backlog bound
-        *and* the service-wide backlog has hit the hard bound;
-        recorded (outcome ``"unavailable"``) so the availability SLO
-        sees every refusal.
-        """
-        pipeline = self.pipeline
-        async with self._lock:
-            index = self._decided
-            self._decided += 1
-            self._sequence_bytes += prepared.bypass_bytes
-            self._rejected += 1
-            resolved = ResolvedQuery(
-                decision=Decision(served_from_cache=False),
-                accounting=pipeline.account(
-                    Decision(served_from_cache=False), bypass_bytes=0
-                ),
-                outcome="unavailable",
-            )
-            self.result.charge_resolved(resolved)
-            if self._series is not None:
-                self._series.observe(self.result.breakdown.total_bytes)
-            pipeline.emit_decision(
-                index=index,
-                source=self.source,
-                policy_name=self.policy.name,
-                decision=resolved.decision,
-                accounting=resolved.accounting,
-                sql=prepared.sql,
-                yield_bytes=prepared.yield_bytes,
-                outcome="unavailable",
-                tenant=prepared.tenant,
-            )
-        return index, resolved.decision, resolved.accounting
 
     def finalize(self) -> SimulationResult:
         """Seal and return the accumulated result (run_stream shape)."""

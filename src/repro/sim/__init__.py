@@ -13,6 +13,7 @@
   instrumentation rendering.
 """
 
+from repro.core.pipeline import ObjectCatalog
 from repro.sim.multi import ClientSite, FleetResult, simulate_fleet
 from repro.sim.results import (
     CostBreakdown,
@@ -27,9 +28,8 @@ from repro.sim.runner import (
     compare_policies,
     run_single,
     run_sweep,
-    sweep_cache_sizes,
 )
-from repro.sim.simulator import ObjectCatalog, Simulator
+from repro.sim.simulator import Simulator
 
 __all__ = [
     "ClientSite",
@@ -47,5 +47,4 @@ __all__ = [
     "run_single",
     "run_sweep",
     "simulate_fleet",
-    "sweep_cache_sizes",
 ]

@@ -15,13 +15,14 @@ This harness quantifies what that substitution changes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
 from repro.core.pipeline import DecisionPipeline
 from repro.core.policies.base import CachePolicy
 from repro.errors import CacheError
 from repro.federation.federation import Federation
+from repro.sim.results import SimulationResult
 from repro.workload.trace import PreparedTrace
 
 
@@ -124,35 +125,42 @@ def decision_flip_rate(
     )
     exact_policy = policy_factory()
     estimated_policy = policy_factory()
+    exact_result, estimated_result = (
+        SimulationResult(
+            policy_name=policy.name,
+            granularity=granularity,
+            capacity_bytes=policy.capacity_bytes,
+        )
+        for policy in (exact_policy, estimated_policy)
+    )
     report = FidelityReport(
         template_errors=yield_errors(exact, estimated)
     )
     for index, (have, guessed) in enumerate(
         zip(exact.queries, estimated.queries)
     ):
-        exact_query = pipeline.query_from_prepared(have, index)
-        estimated_query = pipeline.query_from_prepared(guessed, index)
-        exact_decision = exact_policy.process(exact_query)
-        estimated_decision = estimated_policy.process(estimated_query)
+        event = pipeline.compile_query(have, index)
+        exact_decision, _ = pipeline.step(
+            event, exact_policy, exact_result, index
+        )
+        # Both sides pay real-world prices: only the view the policy
+        # decides on is estimated, the event keeps the exact bytes.
+        estimated_decision, _ = pipeline.step(
+            replace(
+                event, query=pipeline.query_from_prepared(guessed, index)
+            ),
+            estimated_policy,
+            estimated_result,
+            index,
+        )
         if (
             exact_decision.served_from_cache
             != estimated_decision.served_from_cache
         ):
             report.flips += 1
-        # Both sides pay real-world prices: the exact bypass bytes.
-        exact_accounting = pipeline.account(
-            exact_decision,
-            bypass_bytes=have.bypass_bytes,
-            servers=tuple(have.servers),
-        )
-        estimated_accounting = pipeline.account(
-            estimated_decision,
-            bypass_bytes=have.bypass_bytes,
-            servers=tuple(have.servers),
-        )
-        report.exact_total_bytes += exact_accounting.wan_bytes
-        report.estimated_total_bytes += estimated_accounting.wan_bytes
         report.queries += 1
+    report.exact_total_bytes = exact_result.total_bytes
+    report.estimated_total_bytes = estimated_result.total_bytes
     return report
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.core.events import Decision
@@ -148,45 +148,53 @@ class SimulationResult:
     def charge(
         self,
         accounting: "QueryAccounting",
-        decision: "Decision",
+        decision: "Union[Decision, DecisionEvent]",
         peer_hits: int = 0,
+        outcome: str = "",
+        retries: int = 0,
+        failed_loads: int = 0,
     ) -> None:
-        """Accumulate one (decision, accounting) pair into the result.
+        """Accumulate one query into the result.
 
         Byte totals land in the breakdown, the weighted cost and the
         load/eviction/hit counters on the result itself — keeping every
         per-query write inside the accounting classes (RPR004).
         ``peer_hits`` counts this query's loads that a sibling fleet
-        shard supplied (cooperative replays only).
+        shard supplied (cooperative replays only).  Hit/availability
+        counters follow the query's actual ``outcome`` when one is set
+        — a serve degraded to "unavailable" by a dark backend is not a
+        hit, whatever the policy intended — and the decision otherwise.
         """
         self.breakdown.charge(accounting)
         self.weighted_cost += accounting.weighted_cost
         self.loads += len(decision.loads)
         self.evictions += len(decision.evictions)
-        self.peer_hits += peer_hits
-        if decision.served_from_cache:
+        if peer_hits:
+            self.peer_hits += peer_hits
+        if retries or failed_loads:
+            self.retries += retries
+            self.failed_loads += failed_loads
+            self.loads -= failed_loads
+        if not outcome:
+            if decision.served_from_cache:
+                self.served_queries += 1
+        elif outcome == "served":
             self.served_queries += 1
+        elif outcome == "partial":
+            self.partial_queries += 1
+        elif outcome == "unavailable":
+            self.unavailable_queries += 1
 
     def charge_resolved(self, resolved: "ResolvedQuery") -> None:
-        """Accumulate one fault-aware :class:`ResolvedQuery`.
-
-        The sanctioned mutation point for the resilient replay loop
-        (RPR004): hit/availability counters follow the query's actual
-        ``outcome`` — a serve degraded to "unavailable" by a dark
-        backend is not a hit, whatever the policy intended.
-        """
-        self.breakdown.charge(resolved.accounting)
-        self.weighted_cost += resolved.accounting.weighted_cost
-        self.loads += len(resolved.decision.loads) - len(resolved.failed_loads)
-        self.evictions += len(resolved.decision.evictions)
-        self.retries += resolved.retries
-        self.failed_loads += len(resolved.failed_loads)
-        if resolved.outcome == "served":
-            self.served_queries += 1
-        elif resolved.outcome == "partial":
-            self.partial_queries += 1
-        elif resolved.outcome == "unavailable":
-            self.unavailable_queries += 1
+        """:meth:`charge` one :class:`ResolvedQuery` (adapter kept for
+        the frozen perf benchmark, its only caller)."""
+        self.charge(
+            resolved.accounting,
+            resolved.decision,
+            outcome=resolved.outcome,
+            retries=resolved.retries,
+            failed_loads=len(resolved.failed_loads),
+        )
 
     def charge_event(self, event: "DecisionEvent") -> None:
         """Accumulate one persisted :class:`DecisionEvent`.
@@ -215,19 +223,9 @@ class SimulationResult:
             peer_bytes=RawBytes(event.peer_bytes),
             peer_cost=ZERO_COST,
         )
-        self.breakdown.charge(accounting)
-        self.weighted_cost += event.weighted_cost
-        self.loads += len(event.loads)
-        self.evictions += len(event.evictions)
-        self.retries += event.retries
-        if event.outcome == "partial":
-            self.partial_queries += 1
-        elif event.outcome == "unavailable":
-            self.unavailable_queries += 1
-        if event.outcome == "served" or (
-            not event.outcome and event.served_from_cache
-        ):
-            self.served_queries += 1
+        self.charge(
+            accounting, event, outcome=event.outcome, retries=event.retries
+        )
         self.queries += 1
 
     def summary(self) -> Dict[str, object]:

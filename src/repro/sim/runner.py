@@ -453,26 +453,3 @@ def run_sweep(
             )
         )
     return sweep
-
-
-def sweep_cache_sizes(
-    trace: PreparedTrace,
-    federation: Federation,
-    granularity: str = "table",
-    fractions: Sequence[float] = (
-        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
-    ),
-    policies: Sequence[str] = (
-        "rate-profile", "online-by", "space-eff-by", "gds", "static"
-    ),
-    **kwargs,
-) -> SweepResult:
-    """Backwards-compatible alias for :func:`run_sweep`."""
-    return run_sweep(
-        trace,
-        federation,
-        granularity=granularity,
-        fractions=fractions,
-        policies=policies,
-        **kwargs,
-    )

@@ -6,33 +6,22 @@ WAN traffic exactly as Section 3 prescribes: bypassed queries cost their
 queries cost nothing on the WAN.  Object sizes and link weights come
 from the federation.
 
-Query construction and cost accounting live in
-:class:`~repro.core.pipeline.DecisionPipeline`, shared verbatim with the
-online :class:`~repro.core.proxy.BypassYieldProxy` — the two paths agree
-byte-for-byte by construction (and by test).
+Query construction, cost accounting and the per-query step itself live
+in :class:`~repro.core.pipeline.DecisionPipeline`; :meth:`Simulator.run`
+and :meth:`Simulator.run_stream` only say where the events come from (a
+compiled list, a stream) and how the cumulative series is kept.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-# Re-exported for backwards compatibility: ObjectCatalog historically
-# lived here before the pipeline layer was extracted.
 from repro.core.events import CacheQuery
 from repro.core.instrumentation import Instrumentation
-from repro.core.pipeline import (
-    CompiledTrace,
-    DecisionPipeline,
-    ObjectCatalog,
-)
+from repro.core.pipeline import CompiledTrace, DecisionPipeline
 from repro.core.policies.base import CachePolicy
 from repro.federation.federation import Federation
-from repro.obs.spans import (
-    STAGE_ACCOUNT,
-    STAGE_DECIDE,
-    STAGE_QUERY,
-    Tracer,
-)
+from repro.obs.spans import Tracer
 from repro.sim.results import SimulationResult
 from repro.sim.streaming import SampledSeries
 from repro.workload.stream import QueryStream
@@ -41,7 +30,7 @@ from repro.workload.trace import PreparedQuery, PreparedTrace
 if TYPE_CHECKING:
     from repro.faults.transport import ResilientTransport
 
-__all__ = ["ObjectCatalog", "Simulator", "SAMPLED_SERIES_POINTS"]
+__all__ = ["Simulator", "SAMPLED_SERIES_POINTS"]
 
 #: Target number of retained points when ``record_series="sampled"``.
 SAMPLED_SERIES_POINTS = 512
@@ -76,8 +65,9 @@ class Simulator:
                 pipeline's own sink wins).
             tracer: Optional span tracer threaded into the decision
                 path (also ignored when ``pipeline`` is supplied).
-                Disabled tracers are normalized away; the replay loops
-                pay one ``is None`` test per query when tracing is off.
+                Disabled tracers are normalized away; the per-query
+                step pays one ``is None`` test per traced site when
+                tracing is off.
         """
         if pipeline is None:
             pipeline = DecisionPipeline(
@@ -128,9 +118,8 @@ class Simulator:
                 (:class:`~repro.faults.transport.ResilientTransport`)
                 placing the WAN behind retries, breakers, and a fault
                 schedule.  ``None`` (the default) replays the paper's
-                always-up network on the exact fault-free loop; the
-                transport should be freshly built per run — breakers
-                carry state across queries.
+                always-up network; the transport should be freshly
+                built per run — breakers carry state across queries.
             partial_results: Under faults, answer multi-server queries
                 from the reachable servers only instead of failing the
                 whole query (degraded-mode serving).
@@ -150,60 +139,13 @@ class Simulator:
         )
         breakdown = result.breakdown
         cumulative = result.cumulative_bytes
-        # Hoisted so the replay loop pays nothing per query when no
-        # instrumentation sink is attached.
-        emit = pipeline.instrumentation is not None
-        tracer = pipeline.tracer
-
-        if transport is not None:
-            return self._run_resilient(
-                compiled, policy, result, transport, partial_results,
-                record_series, stride,
-            )
-
+        step = pipeline.step
         for index, event in enumerate(compiled.events):
-            query = event.query
-            if tracer is not None:
-                root = tracer.start(
-                    STAGE_QUERY, index=index, tenant=event.tenant
-                )
-                with tracer.span(STAGE_DECIDE, index=index):
-                    decision = policy.process(query)
-                with tracer.span(STAGE_ACCOUNT, index=index):
-                    accounting = pipeline.account(
-                        decision,
-                        bypass_bytes=event.bypass_bytes,
-                        servers=event.servers,
-                    )
-                tracer.finish(
-                    root,
-                    bytes_moved=int(accounting.wan_bytes),
-                    served=decision.served_from_cache,
-                )
-            else:
-                decision = policy.process(query)
-                accounting = pipeline.account(
-                    decision,
-                    bypass_bytes=event.bypass_bytes,
-                    servers=event.servers,
-                )
-
-            result.charge(accounting, decision)
+            step(event, policy, result, index, transport, partial_results)
             if record_series and (
                 (index + 1) % stride == 0 or index == total - 1
             ):
                 cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] classic recorder; scale path samples via SampledSeries
-            if emit:
-                pipeline.emit_decision(
-                    index=index,
-                    source="simulator",
-                    policy_name=policy.name,
-                    decision=decision,
-                    accounting=accounting,
-                    sql=query.sql,
-                    yield_bytes=query.yield_bytes,
-                    tenant=event.tenant,
-                )
 
         result.queries = total
         return result
@@ -260,76 +202,20 @@ class Simulator:
         breakdown = result.breakdown
         cumulative = result.cumulative_bytes
         series = SampledSeries() if record_series == "sampled" else None
-        emit = pipeline.instrumentation is not None
-        tracer = pipeline.tracer
         total = 0
         accumulated_sequence = 0
 
         for index, event in enumerate(pipeline.iter_compiled(stream)):
             accumulated_sequence += event.bypass_bytes
-            root = None
-            if tracer is not None:
-                root = tracer.start(
-                    STAGE_QUERY, index=index, tenant=event.tenant
-                )
-            if transport is None:
-                if tracer is not None:
-                    with tracer.span(STAGE_DECIDE, index=index):
-                        decision = policy.process(event.query)
-                    with tracer.span(STAGE_ACCOUNT, index=index):
-                        accounting = pipeline.account(
-                            decision,
-                            bypass_bytes=event.bypass_bytes,
-                            servers=event.servers,
-                        )
-                else:
-                    decision = policy.process(event.query)
-                    accounting = pipeline.account(
-                        decision,
-                        bypass_bytes=event.bypass_bytes,
-                        servers=event.servers,
-                    )
-                result.charge(accounting, decision)
-                retries = 0
-                outcome = ""
-            else:
-                resolved = pipeline.resolve(
-                    event,
-                    policy,
-                    transport,
-                    tick=index,
-                    partial_results=partial_results,
-                )
-                result.charge_resolved(resolved)
-                decision = resolved.decision
-                accounting = resolved.accounting
-                retries = resolved.retries
-                outcome = resolved.outcome
-            if tracer is not None and root is not None:
-                tracer.finish(
-                    root,
-                    bytes_moved=int(accounting.wan_bytes),
-                    served=decision.served_from_cache,
-                )
+            pipeline.step(
+                event, policy, result, index, transport, partial_results
+            )
             if series is not None:
                 series.observe(breakdown.total_bytes)
             elif record_series is True:
                 # Full recording: explicit small-trace opt-in, the
                 # stream path's one unbounded structure.
                 cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] classic recorder; scale path samples via SampledSeries
-            if emit:
-                pipeline.emit_decision(
-                    index=index,
-                    source="simulator",
-                    policy_name=policy.name,
-                    decision=decision,
-                    accounting=accounting,
-                    sql=event.query.sql,
-                    yield_bytes=event.query.yield_bytes,
-                    retries=retries,
-                    outcome=outcome,
-                    tenant=event.tenant,
-                )
             total += 1
 
         result.queries = total
@@ -341,69 +227,4 @@ class Simulator:
         if series is not None:
             result.cumulative_bytes = series.points()
             result.series_stride = series.stride
-        return result
-
-    def _run_resilient(
-        self,
-        compiled: CompiledTrace,
-        policy: CachePolicy,
-        result: SimulationResult,
-        transport: "ResilientTransport",
-        partial_results: bool,
-        record_series: Union[bool, str],
-        stride: int,
-    ) -> SimulationResult:
-        """The fault-aware replay loop (one logical tick per query).
-
-        Kept separate from the fault-free loop so the latter stays
-        byte-identical to the seed behavior; with an empty schedule
-        this loop converges to the same totals anyway (the no-fault
-        identity), which the golden-equivalence suite pins down.
-        """
-        pipeline = self.pipeline
-        total = len(compiled.events)
-        breakdown = result.breakdown
-        cumulative = result.cumulative_bytes
-        emit = pipeline.instrumentation is not None
-        tracer = pipeline.tracer
-
-        for index, event in enumerate(compiled.events):
-            root = None
-            if tracer is not None:
-                root = tracer.start(
-                    STAGE_QUERY, index=index, tenant=event.tenant
-                )
-            resolved = pipeline.resolve(
-                event,
-                policy,
-                transport,
-                tick=index,
-                partial_results=partial_results,
-            )
-            if tracer is not None and root is not None:
-                tracer.finish(
-                    root,
-                    bytes_moved=int(resolved.accounting.wan_bytes),
-                    outcome=resolved.outcome,
-                )
-            result.charge_resolved(resolved)
-            if record_series and (
-                (index + 1) % stride == 0 or index == total - 1
-            ):
-                cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] classic recorder; scale path samples via SampledSeries
-            if emit:
-                pipeline.emit_decision(
-                    index=index,
-                    source="simulator",
-                    policy_name=policy.name,
-                    decision=resolved.decision,
-                    accounting=resolved.accounting,
-                    sql=event.query.sql,
-                    yield_bytes=event.query.yield_bytes,
-                    retries=resolved.retries,
-                    outcome=resolved.outcome,
-                    tenant=event.tenant,
-                )
-
-        result.queries = total
         return result

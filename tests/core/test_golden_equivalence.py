@@ -658,16 +658,17 @@ class TestRateProfileGolden:
 
 
 # ---------------------------------------------------------------------------
-# No-fault identity: the resilient replay loop vs the fault-free loop
+# No-fault identity: the resilient path vs the fault-free path, every driver
 # ---------------------------------------------------------------------------
 
 
 class TestNoFaultIdentity:
     """An empty fault schedule must be invisible.
 
-    The resilient loop (`Simulator._run_resilient`) is a separate code
-    path from the seed's fault-free loop; this pins the two together:
-    with `FaultSchedule.empty()` every per-query decision event, the
+    Under a transport the per-query step decides through
+    `DecisionPipeline.resolve`, a separate code path from the
+    fault-free decide + account; this pins the two together: with
+    `FaultSchedule.empty()` every per-query decision event, the
     cumulative WAN series, and the final accounting must be
     byte-identical — not merely "close".
     """
@@ -754,3 +755,97 @@ class TestNoFaultIdentity:
         plain, faulted = streams
         assert faulted == plain
         assert faulted[5] == 0
+
+    def _drive(self, driver, policy_name, traced, use_transport):
+        """One replay of ``_trace()`` through one event source."""
+        import asyncio
+
+        from repro.core.instrumentation import Instrumentation
+        from repro.core.pipeline import DecisionPipeline
+        from repro.faults import FaultEngine, FaultSchedule
+        from repro.faults.transport import ResilientTransport
+        from repro.federation import Federation
+        from repro.obs.spans import SpanTracer
+        from repro.service.session import DecisionGate
+        from repro.sim.multi import ClientSite, simulate_fleet
+        from repro.sim.runner import build_policy
+        from repro.sim.simulator import Simulator
+
+        from tests.conftest import build_catalog
+
+        trace = self._trace()
+        federation = Federation.single_site(build_catalog(), "sdss")
+        sink = Instrumentation()
+        tracer = SpanTracer(wall_clock=False) if traced else None
+        policy = build_policy(
+            policy_name, self.CAPACITY, trace, federation, "table"
+        )
+        transport = (
+            ResilientTransport(FaultEngine(FaultSchedule.empty()))
+            if use_transport
+            else None
+        )
+        if driver == "list":
+            result = Simulator(
+                federation, "table", instrumentation=sink, tracer=tracer
+            ).run(trace, policy, transport=transport)
+        elif driver == "stream":
+            result = Simulator(
+                federation, "table", instrumentation=sink, tracer=tracer
+            ).run_stream(
+                iter(trace), policy, record_series=True, transport=transport
+            )
+        elif driver == "shard":
+            result = simulate_fleet(
+                federation,
+                [ClientSite("solo", trace, policy)],
+                record_series=True,
+                instrumentation=sink,
+                cooperative=True,
+            ).per_client["solo"]
+        else:
+            gate = DecisionGate(
+                DecisionPipeline(
+                    federation, "table", instrumentation=sink, tracer=tracer
+                ),
+                policy,
+            )
+
+            async def serve():
+                for prepared in trace:
+                    await gate.locked_resolve(prepared)
+
+            asyncio.run(serve())
+            result = gate.finalize()
+        return (
+            [self._event_key(e) + (e.tenant,) for e in sink.events],
+            result.summary(),
+            result.cumulative_bytes,
+        )
+
+    # The fleet takes neither tracer nor transport, the gate no
+    # transport: every combination a driver's signature allows.
+    @pytest.mark.parametrize(
+        "driver,traced,use_transport",
+        [
+            ("list", True, False),
+            ("list", False, True),
+            ("list", True, True),
+            ("stream", False, False),
+            ("stream", True, False),
+            ("stream", False, True),
+            ("stream", True, True),
+            ("shard", False, False),
+            ("gate", False, False),
+            ("gate", True, False),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["lru", "online-by", "rate-profile"])
+    def test_every_event_source_identical(
+        self, policy, driver, traced, use_transport
+    ):
+        """Compiled list, stream, single-shard round-robin and serial
+        gate all run the one per-query step: same events (modulo
+        ``source``/``shard``), same summary, same series."""
+        reference = self._drive("list", policy, False, False)
+        assert self._drive(driver, policy, traced, use_transport) == reference

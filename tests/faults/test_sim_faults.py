@@ -9,9 +9,12 @@ and retry waste in the sanctioned accounting, never as silent drift.
 import pytest
 
 from repro.core.instrumentation import Instrumentation
-from repro.faults import FaultSchedule, FaultWindow
+from repro.faults import FaultEngine, FaultSchedule, FaultWindow
+from repro.faults.transport import ResilientTransport
 from repro.federation import DatabaseServer, Federation
-from repro.sim.runner import compare_policies, run_single
+from repro.obs.spans import STAGE_QUERY, SpanTracer
+from repro.sim.runner import build_policy, compare_policies, run_single
+from repro.sim.simulator import Simulator
 from repro.sqlengine import Catalog, Column, ColumnType, TableSchema
 from repro.workload.trace import PreparedQuery, PreparedTrace
 
@@ -99,6 +102,34 @@ class TestEmptyScheduleIdentity:
         assert faulted.availability == 1.0
         assert (
             faulted.cumulative_bytes == plain.cumulative_bytes
+        )
+
+
+class TestResilientSpans:
+    def test_run_and_run_stream_emit_identical_spans(self, trace):
+        """One step behind both drivers: same trace, same schedule,
+        same span stream — every root carrying served and outcome."""
+        streams = []
+        for method in ("run", "run_stream"):
+            federation = Federation.single_site(build_catalog(), "sdss")
+            tracer = SpanTracer(seed=3, wall_clock=False, keep_spans=True)
+            simulator = Simulator(federation, "table", tracer=tracer)
+            policy = build_policy(
+                "online-by", 1500, trace, federation, "table"
+            )
+            result = getattr(simulator, method)(
+                trace,
+                policy,
+                transport=ResilientTransport(FaultEngine(make_schedule())),
+            )
+            assert result.unavailable_queries > 0
+            streams.append([span.to_json() for span in tracer.spans])
+        batch, stream = streams
+        assert batch == stream
+        roots = [span for span in batch if span["name"] == STAGE_QUERY]
+        assert len(roots) == len(trace)
+        assert all(
+            {"served", "outcome"} <= set(root["attrs"]) for root in roots
         )
 
 

@@ -17,6 +17,7 @@ from repro.core.instrumentation import Instrumentation
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.obs.report import main as report_main
 from repro.obs.slo import Objective, SLOEngine, SLOSpec
+from repro.obs.spans import STAGE_QUERY, SpanTracer
 from repro.service import loadgen
 from repro.service.config import ServiceConfig
 from repro.service.server import MediatorService
@@ -46,6 +47,7 @@ def _service_run(
     seed=0,
     config=None,
     slo_engine=None,
+    tracer=None,
 ):
     instr = Instrumentation()
 
@@ -56,6 +58,7 @@ def _service_run(
             config=config,
             instrumentation=instr,
             slo_engine=slo_engine,
+            tracer=tracer,
         )
         try:
             stream = loadgen.fan_out(
@@ -254,3 +257,32 @@ class TestAvailabilityUnderShedding:
         assert result.unavailable_queries == rejected
         availability = engine.evaluate().to_json()["objectives"][0]
         assert availability["bad"] == rejected
+
+    def test_every_decided_query_has_one_root_span(
+        self, prepared_trace, capacity
+    ):
+        """Shed and refused queries are decided queries: each gets its
+        ``query`` root like any other, labelled with its outcome."""
+        tracer = SpanTracer(wall_clock=False, keep_spans=True)
+        config = ServiceConfig(
+            queue_depth=2, reject_depth=8, max_inflight=1
+        )
+        result, _, report = _service_run(
+            prepared_trace,
+            capacity,
+            tenants=4,
+            seed=11,
+            config=config,
+            tracer=tracer,
+        )
+        shed = report.by_status.get("shed", 0)
+        rejected = report.by_status.get("rejected", 0)
+        assert shed > 0 and rejected > 0
+        roots = [span for span in tracer.spans if span.name == STAGE_QUERY]
+        assert len(roots) == result.queries == len(prepared_trace)
+        assert sorted(root.index for root in roots) == list(
+            range(result.queries)
+        )
+        outcomes = [dict(root.attrs).get("outcome", "") for root in roots]
+        assert outcomes.count("shed") == shed
+        assert outcomes.count("unavailable") == rejected

@@ -12,7 +12,6 @@ from repro.sim.runner import (
     compare_policies,
     run_single,
     run_sweep,
-    sweep_cache_sizes,
 )
 from repro.sim.simulator import SAMPLED_SERIES_POINTS
 from repro.workload.trace import PreparedQuery, PreparedTrace
@@ -89,7 +88,7 @@ class TestRunners:
         ].total_bytes
 
     def test_sweep_structure(self, federation, trace):
-        sweep = sweep_cache_sizes(
+        sweep = run_sweep(
             trace,
             federation,
             granularity="table",
@@ -102,7 +101,7 @@ class TestRunners:
         assert [p.cache_fraction for p in halves] == [0.5, 1.0]
 
     def test_static_improves_with_capacity(self, federation, trace):
-        sweep = sweep_cache_sizes(
+        sweep = run_sweep(
             trace,
             federation,
             granularity="table",
@@ -114,7 +113,7 @@ class TestRunners:
 
     def test_bad_fraction_rejected(self, federation, trace):
         with pytest.raises(CacheError):
-            sweep_cache_sizes(
+            run_sweep(
                 trace, federation, fractions=(0.0,), policies=("static",)
             )
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.pipeline import ObjectCatalog
 from repro.core.policies.baselines import NoCachePolicy, StaticPolicy
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.errors import CacheError
 from repro.federation import Federation
-from repro.sim.simulator import ObjectCatalog, Simulator
+from repro.sim.simulator import Simulator
 from repro.workload.trace import PreparedQuery, PreparedTrace
 
 from tests.conftest import build_catalog
