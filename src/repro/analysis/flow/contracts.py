@@ -267,6 +267,16 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
         ),
     ),
     EffectContract(
+        owner="ShapeFacts",
+        attrs=frozenset({"_facts"}),
+        mutators=frozenset({"fill"}),
+        description=(
+            "per-query-shape memo shared by every plan of the shape "
+            "(attribution, routing, the yield program); fill() is the "
+            "one seam yield_model, statistics and mediator write through"
+        ),
+    ),
+    EffectContract(
         owner="SpanWriter",
         attrs=frozenset({"spans_written", "_handle"}),
         mutators=frozenset({"write", "close", "on_span"}),

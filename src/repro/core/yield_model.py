@@ -21,11 +21,22 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import CacheError
 from repro.sqlengine.ast_nodes import ColumnRef, Expr, column_refs
-from repro.sqlengine.planner import QueryPlan, ScopeEntry
+from repro.sqlengine.planner import QueryPlan
 from repro.sqlengine.statistics import YieldEstimator
 
 if TYPE_CHECKING:  # typing-only: keeps repro.core import-light
@@ -167,14 +178,20 @@ def make_yield_source(
     )
 
 
-def referenced_columns(plan: QueryPlan) -> Dict[str, Set[str]]:
+def referenced_columns(plan: QueryPlan) -> Mapping[str, FrozenSet[str]]:
     """table_name -> set of referenced column names for one plan.
 
     Every table in FROM contributes its join-edge and predicate columns;
     a table referenced with zero resolvable columns (e.g. ``SELECT
     COUNT(*) FROM T``) still appears with an empty set so table-level
-    attribution can include it.
+    attribution can include it.  Tables come in scope order.  The
+    result is a fact of the query's shape, shared by every plan of it:
+    read-only.
     """
+    return plan.facts.fill("referenced_columns", _referenced_columns, plan)
+
+
+def _referenced_columns(plan: QueryPlan) -> Mapping[str, FrozenSet[str]]:
     refs: Dict[str, Set[str]] = {
         entry.table_name: set() for entry in plan.scope
     }
@@ -217,28 +234,68 @@ def referenced_columns(plan: QueryPlan) -> Dict[str, Set[str]]:
         refs[right.table_name].add(
             right.schema.column(edge.right_column).name
         )
-    return refs
+    return MappingProxyType(
+        {table: frozenset(columns) for table, columns in refs.items()}
+    )
+
+
+#: ``((object id, weight), ...)`` and the weights' sum.
+_Shares = Tuple[Tuple[Tuple[str, int], ...], int]
+
+
+def _table_weights(plan: QueryPlan) -> _Shares:
+    """Unique-attribute count per table, scope order.
+
+    Tables referenced without any concrete column (pure ``COUNT(*)``)
+    count as one attribute so they receive a share.
+    """
+    weights = tuple(
+        (table, max(1, len(columns)))
+        for table, columns in referenced_columns(plan).items()
+    )
+    return weights, sum(weight for _, weight in weights)
+
+
+def _column_widths(plan: QueryPlan) -> _Shares:
+    """Byte width per referenced column, in (scope, schema) order.
+
+    A table referenced with no concrete column (``SELECT COUNT(*) FROM
+    T``) stands in with its first column, the narrowest cacheable
+    object that can answer it.
+    """
+    schema_by_table = {
+        entry.table_name: entry.schema for entry in plan.scope
+    }
+    widths: List[Tuple[str, int]] = []
+    for table, columns in referenced_columns(plan).items():
+        schema = schema_by_table[table]
+        if not columns:
+            first = schema.columns[0]
+            widths.append((f"{table}.{first.name}", first.width))
+            continue
+        for column in sorted(columns, key=schema.index_of):
+            col = schema.column(column)
+            widths.append((f"{table}.{col.name}", col.width))
+    return tuple(widths), sum(width for _, width in widths)
+
+
+def _split(shares: _Shares, yield_bytes: float) -> Dict[str, float]:
+    weights, total = shares
+    if total == 0:
+        return {}
+    return {
+        object_id: yield_bytes * weight / total
+        for object_id, weight in weights
+    }
 
 
 def attribute_yield_tables(
     plan: QueryPlan, yield_bytes: float
 ) -> Dict[str, float]:
-    """Split a query's yield among its tables (unique-attribute rule).
-
-    Tables referenced without any concrete column (pure ``COUNT(*)``)
-    count as one attribute so they receive a share.
-    """
-    refs = referenced_columns(plan)
-    weights = {
-        table: max(1, len(columns)) for table, columns in refs.items()
-    }
-    total = sum(weights.values())
-    if total == 0:
-        return {}
-    return {
-        table: yield_bytes * weight / total
-        for table, weight in weights.items()
-    }
+    """Split a query's yield among its tables (unique-attribute rule)."""
+    return _split(
+        plan.facts.fill("table_weights", _table_weights, plan), yield_bytes
+    )
 
 
 def attribute_yield_columns(
@@ -246,56 +303,20 @@ def attribute_yield_columns(
 ) -> Dict[str, float]:
     """Split a query's yield among referenced columns by byte width.
 
-    Returns ``{"Table.column": share_bytes}``.  A query referencing no
-    concrete column (``SELECT COUNT(*) FROM T``) attributes its whole
-    yield to the table's first column, which is the narrowest cacheable
-    object that can answer it.
+    Returns ``{"Table.column": share_bytes}`` in (scope, schema) order.
     """
-    refs = referenced_columns(plan)
-    schema_by_table = {
-        entry.table_name: entry.schema for entry in plan.scope
-    }
-    widths: Dict[str, int] = {}
-    for table, columns in refs.items():
-        schema = schema_by_table[table]
-        if not columns:
-            first = schema.columns[0]
-            widths[f"{table}.{first.name}"] = first.width
-            continue
-        for column in columns:
-            col = schema.column(column)
-            widths[f"{table}.{col.name}"] = col.width
-    total = sum(widths.values())
-    if total == 0:
-        return {}
-    return {
-        object_id: yield_bytes * width / total
-        for object_id, width in widths.items()
-    }
+    return _split(
+        plan.facts.fill("column_widths", _column_widths, plan), yield_bytes
+    )
 
 
 def referenced_object_ids(plan: QueryPlan, granularity: str) -> List[str]:
     """The cacheable objects a query needs at ``granularity``.
 
     At table granularity: every FROM/JOIN table.  At column granularity:
-    every referenced column (with the COUNT(*)-style fallback above).
+    every referenced column (with the COUNT(*)-style stand-in above).
     """
     if granularity == "table":
-        seen: List[str] = []
-        for entry in plan.scope:
-            if entry.table_name not in seen:
-                seen.append(entry.table_name)
-        return seen
-    refs = referenced_columns(plan)
-    schema_by_table = {
-        entry.table_name: entry.schema for entry in plan.scope
-    }
-    ids: List[str] = []
-    for table, columns in refs.items():
-        schema = schema_by_table[table]
-        if not columns:
-            ids.append(f"{table}.{schema.columns[0].name}")
-            continue
-        for column in sorted(columns, key=schema.index_of):
-            ids.append(f"{table}.{schema.column(column).name}")
-    return ids
+        return list(referenced_columns(plan))
+    widths, _ = plan.facts.fill("column_widths", _column_widths, plan)
+    return [object_id for object_id, _ in widths]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import FederationError
 from repro.federation.network import NetworkModel
 from repro.federation.server import DatabaseServer
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.planner import SchemaLookup
+from repro.sqlengine.planner import QueryPlan, SchemaLookup
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.storage import Table
 
@@ -75,6 +75,16 @@ class Federation:
         if owner is None:
             raise FederationError(f"no server hosts table {table_name!r}")
         return self._servers[owner]
+
+    def hosting_servers(self, plan: QueryPlan) -> Tuple[str, ...]:
+        """Names of the distinct servers a plan's tables live on, in
+        scope order."""
+        names: List[str] = []
+        for entry in plan.scope:
+            name = self.server_for_table(entry.table_name).name
+            if name not in names:
+                names.append(name)
+        return tuple(names)
 
     def server_for_object(self, object_id: str) -> DatabaseServer:
         table_name, _, _ = object_id.partition(".")

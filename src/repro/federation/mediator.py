@@ -240,14 +240,13 @@ class Mediator:
         )
         return result
 
-    def servers_for_plan(self, plan: QueryPlan) -> List[str]:
-        """Names of the distinct servers a plan's tables live on."""
-        names: List[str] = []
-        for entry in plan.scope:
-            server = self.federation.server_for_table(entry.table_name)
-            if server.name not in names:
-                names.append(server.name)
-        return names
+    def servers_for_plan(self, plan: QueryPlan) -> Tuple[str, ...]:
+        """Names of the distinct servers a plan's tables live on (a
+        fact of the query's shape in this federation)."""
+        federation = self.federation
+        return plan.facts.fill(
+            "servers", federation.hosting_servers, plan, owner=federation
+        )
 
     def bypass(
         self,

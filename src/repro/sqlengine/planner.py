@@ -15,8 +15,18 @@ The planner turns a parsed :class:`SelectStatement` into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import PlanError
 from repro.sqlengine.ast_nodes import (
@@ -31,6 +41,8 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.expressions import split_conjuncts
 from repro.sqlengine.schema import TableSchema
+
+_Fact = TypeVar("_Fact")
 
 
 @dataclass(frozen=True)
@@ -76,9 +88,95 @@ class OutputColumn:
     source: Optional[Tuple[str, str]] = None
 
 
-@dataclass
+class ShapeFacts:
+    """What is known about a query's *shape*, filled on first use.
+
+    Which columns a statement names, how its yield divides among them,
+    where its tables live and how its selectivity is priced depend on
+    the statement's structure, never on its literal values, so every
+    plan rebound from one shape template shares one record; a plan
+    from outside the shape cache owns a private one and runs the same
+    code unshared.  A fact is either plain data or a function of the
+    literal values (the yield estimator's program).
+
+    :meth:`fill` is the only writer (RPR010 contract ``ShapeFacts``).
+    """
+
+    __slots__ = ("_facts",)
+
+    def __init__(self) -> None:
+        # name -> (owner, compute, value)
+        self._facts: Dict[
+            str, Tuple[object, Callable[["QueryPlan"], Any], Any]
+        ] = {}
+
+    def fill(
+        self,
+        name: str,
+        compute: Callable[["QueryPlan"], _Fact],
+        plan: "QueryPlan",
+        owner: object = None,
+    ) -> _Fact:
+        """The fact ``name``, computed from ``plan`` if not yet held.
+
+        ``owner`` is the object a fact additionally depends on (the
+        estimator whose statistics a program embeds, the mediator whose
+        federation routes the tables); a fact held for another owner is
+        recomputed.  The value is shared: hand out only immutables.
+        """
+        held = self._facts.get(name)
+        if held is not None and held[0] is owner:
+            value: _Fact = held[2]
+            return value
+        value = compute(plan)
+        self._facts[name] = (owner, compute, value)
+        return value
+
+    def confirmed_by(
+        self,
+        fresh: "QueryPlan",
+        fresh_literals: Sequence[Any],
+        literals: Sequence[Any],
+    ) -> bool:
+        """Whether every held fact equals its recomputation from
+        ``fresh`` alone — data by ``==``, functions of the literals by
+        their value on ``literals`` against the recomputed function's
+        on ``fresh_literals``."""
+        for _, compute, value in self._facts.values():
+            again = compute(fresh)
+            if callable(value):
+                if value(literals) != again(fresh_literals):
+                    return False
+            elif again != value:
+                return False
+        return True
+
+
+#: The plan fields that hold (or are built from) expression trees.
+_TREE_FIELDS = (
+    "statement",
+    "scope",
+    "local_predicates",
+    "join_edges",
+    "residual_predicates",
+    "outputs",
+    "has_aggregates",
+    "group_by",
+)
+
+
 class QueryPlan:
-    """Everything the executor needs, fully bound."""
+    """Everything the executor needs, fully bound.
+
+    Besides the trees a plan carries ``facts`` (its shape's
+    :class:`ShapeFacts`) and ``literals`` (its literal values in text
+    order when a shape template produced it, else ``None`` — walk the
+    statement).  A plan made by :meth:`deferred` builds its trees on
+    the first read of any tree field; pricing and attribution need only
+    ``facts`` and ``literals`` and never trigger that.
+    """
+
+    __slots__ = _TREE_FIELDS + ("facts", "literals", "_bind")
 
     statement: SelectStatement
     scope: List[ScopeEntry]
@@ -87,7 +185,79 @@ class QueryPlan:
     residual_predicates: List[Expr]
     outputs: List[OutputColumn]
     has_aggregates: bool
-    group_by: Tuple[Expr, ...] = ()
+    group_by: Tuple[Expr, ...]
+    facts: ShapeFacts
+    literals: Optional[List[Any]]
+
+    def __init__(
+        self,
+        statement: SelectStatement,
+        scope: List[ScopeEntry],
+        local_predicates: Dict[str, List[Expr]],
+        join_edges: List[JoinEdge],
+        residual_predicates: List[Expr],
+        outputs: List[OutputColumn],
+        has_aggregates: bool,
+        group_by: Tuple[Expr, ...] = (),
+    ) -> None:
+        self.statement = statement
+        self.scope = scope
+        self.local_predicates = local_predicates
+        self.join_edges = join_edges
+        self.residual_predicates = residual_predicates
+        self.outputs = outputs
+        self.has_aggregates = has_aggregates
+        self.group_by = group_by
+        self.facts = ShapeFacts()
+        self.literals = None
+        self._bind: Optional[Callable[[List[Any]], "QueryPlan"]] = None
+
+    @classmethod
+    def deferred(
+        cls,
+        facts: ShapeFacts,
+        literals: List[Any],
+        bind: Callable[[List[Any]], "QueryPlan"],
+    ) -> "QueryPlan":
+        """A plan of a known shape whose trees are ``bind(literals)``,
+        built on first read."""
+        plan = cls.__new__(cls)
+        plan.facts = facts
+        plan.literals = literals
+        plan._bind = bind
+        return plan
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when a slot is unset: a deferred plan's first
+        # tree read.  Filling the slots makes every later read direct.
+        if name not in _TREE_FIELDS:
+            raise AttributeError(name)
+        bind, literals = self._bind, self.literals
+        if bind is None or literals is None:
+            raise AttributeError(name)
+        built = bind(literals)
+        for field_name in _TREE_FIELDS:
+            setattr(self, field_name, getattr(built, field_name))
+        self._bind = None
+        return getattr(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        """Equality of the (materialized) trees, as the dataclass this
+        class used to be compared them."""
+        if not isinstance(other, QueryPlan):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in _TREE_FIELDS
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in _TREE_FIELDS
+        )
+        return f"QueryPlan({body})"
 
     def binding_for_table(self, table_name: str) -> Optional[str]:
         for entry in self.scope:

@@ -11,8 +11,10 @@ the statement as plain ints, so they stay part of the shape).  The first
 query of a shape is parsed and planned normally and becomes the shape's
 *template*; subsequent queries of the same shape skip the lexer, parser,
 and planner entirely — their literal values are extracted with one
-C-speed regex pass and *rebound* into a copy of the template's AST and
-plan.
+C-speed regex pass, and the plan handed back carries just those values
+and the shape's shared :class:`~repro.sqlengine.planner.ShapeFacts`.
+Pricing and attribution need nothing else; the trees are *rebound* into
+a copy of the template's AST and plan on first read (the executor's).
 
 Rebinding is sound because the parse structure is a function of the
 shape alone: two queries with the same shape differ only in literal
@@ -25,8 +27,9 @@ take that on faith:
   the shape is marked unbindable and every query of that shape takes
   the full parse path;
 * the first actual rebind of each shape is verified against a fresh
-  ``plan_select(parse(sql))`` by dataclass equality; a mismatch demotes
-  the shape to unbindable.
+  ``plan_select(parse(sql))``: the rebound trees must equal the fresh
+  ones, and every shared fact must equal its recomputation from the
+  fresh plan alone; a mismatch demotes the shape to unbindable.
 
 Either way the planner stays correct; shapes only ever *add* speed.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sqlengine.ast_nodes import (
@@ -51,7 +55,12 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.expressions import split_conjuncts
 from repro.sqlengine.parser import parse
-from repro.sqlengine.planner import QueryPlan, SchemaLookup, plan_select
+from repro.sqlengine.planner import (
+    QueryPlan,
+    SchemaLookup,
+    ShapeFacts,
+    plan_select,
+)
 
 __all__ = ["ShapePlanner", "query_shape"]
 
@@ -107,10 +116,10 @@ def query_shape(sql: str) -> Tuple[str, List[Any]]:
 # is not a slot: NULL is part of the shape text.
 
 
-def _collect_literals(expr: Expr, out: List[Any]) -> None:
+def _collect_literals(expr: Expr, out: List[Literal]) -> None:
     if isinstance(expr, Literal):
         if expr.value is not None:
-            out.append(expr.value)
+            out.append(expr)
     elif isinstance(expr, BinaryOp):
         _collect_literals(expr.left, out)
         _collect_literals(expr.right, out)
@@ -147,12 +156,25 @@ def _statement_exprs(statement: SelectStatement) -> List[Expr]:
     return exprs
 
 
+def literal_nodes(statement: SelectStatement) -> List[Literal]:
+    """All rebindable literal nodes in the statement, document order."""
+    nodes: List[Literal] = []
+    for expr in _statement_exprs(statement):
+        _collect_literals(expr, nodes)
+    return nodes
+
+
 def statement_literals(statement: SelectStatement) -> List[Any]:
     """All rebindable literal values in the statement, document order."""
-    values: List[Any] = []
-    for expr in _statement_exprs(statement):
-        _collect_literals(expr, values)
-    return values
+    return [node.value for node in literal_nodes(statement)]
+
+
+def plan_literals(plan: QueryPlan) -> List[Any]:
+    """The plan's literal values in text order: the ones a rebind
+    extracted from the SQL, else the statement's own."""
+    if plan.literals is None:
+        return statement_literals(plan.statement)
+    return plan.literals
 
 
 class _Rebinder:
@@ -246,11 +268,16 @@ def _count_literals(expr: Expr, counts: Dict[int, int]) -> int:
 
 
 class _ShapeEntry:
-    """One cached template: parsed statement, plan, and rebind metadata."""
+    """One cached template: parsed statement, plan, and rebind metadata.
+
+    ``facts`` is the template plan's own record, so what the shape's
+    first query learns is what every later one reads.
+    """
 
     __slots__ = (
         "statement",
         "plan",
+        "facts",
         "counts",
         "conjunct_tags",
         "output_items",
@@ -261,6 +288,7 @@ class _ShapeEntry:
     def __init__(self, statement: SelectStatement, plan: QueryPlan) -> None:
         self.statement = statement
         self.plan = plan
+        self.facts: ShapeFacts = plan.facts
         self.counts: Dict[int, int] = {}
         total = 0
         for expr in _statement_exprs(statement):
@@ -439,11 +467,16 @@ class ShapePlanner:
     template-heavy workloads.
 
     Attributes:
-        shape_hits: Queries served by rebinding a cached template.
+        shape_hits: Queries served from a cached template.
         shape_misses: Queries that built a new template.
         fallbacks: Queries planned the slow way because their shape is
             unbindable (literal order could not be aligned, or a rebind
             verification failed).
+        tree_builds: Shape hits whose trees were rebound — each shape's
+            first-rebind verification, plus every hit something later
+            read a tree field of.  A statistics-priced replay stays at
+            one per shape; one that executes its queries reaches
+            ``shape_hits``.
     """
 
     def __init__(
@@ -461,9 +494,14 @@ class ShapePlanner:
         self.shape_hits = 0
         self.shape_misses = 0
         self.fallbacks = 0
+        self.tree_builds = 0
 
     def _plan_fresh(self, sql: str) -> QueryPlan:
         return plan_select(parse(sql), self._lookup)
+
+    def _bind_trees(self, entry: _ShapeEntry, values: List[Any]) -> QueryPlan:
+        self.tree_builds += 1
+        return entry.bind(values)
 
     def plan(self, sql: str) -> QueryPlan:
         """Parse-and-plan ``sql``, reusing the shape template if one
@@ -477,15 +515,21 @@ class ShapePlanner:
             self.fallbacks += 1
             return self._plan_fresh(sql)
         self.shape_hits += 1
-        bound = entry.bind(values)
+        bound = QueryPlan.deferred(
+            entry.facts, values, partial(self._bind_trees, entry)
+        )
         if not entry.verified:
-            # First rebind of this shape: check the fast path against
-            # the full parse+plan once, then trust it.
+            # First rebind of this shape: check the fast path — the
+            # rebound trees and whatever the shared record already
+            # holds — against the full parse+plan once, then trust it.
             fresh = self._plan_fresh(sql)
-            if bound != fresh:
+            if bound != fresh or not entry.facts.confirmed_by(
+                fresh, plan_literals(fresh), values
+            ):
                 entry.bindable = False
                 self.fallbacks += 1
                 self.shape_hits -= 1
+                self.tree_builds -= 1
                 return fresh
             entry.verified = True
         return bound

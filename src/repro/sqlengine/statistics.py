@@ -14,7 +14,8 @@ estimation error?
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SQLError
 from repro.sqlengine.ast_nodes import (
@@ -22,13 +23,13 @@ from repro.sqlengine.ast_nodes import (
     BinaryOp,
     ColumnRef,
     Expr,
-    FuncCall,
     InOp,
     IsNullOp,
     Literal,
     UnaryOp,
 )
 from repro.sqlengine.planner import QueryPlan, ScopeEntry
+from repro.sqlengine.shapes import literal_nodes, plan_literals
 from repro.sqlengine.storage import Table
 
 #: Fallback selectivity for predicates the estimator cannot reason about.
@@ -88,7 +89,7 @@ class ColumnStatistics:
             return DEFAULT_SELECTIVITY
         lo = self.minimum if low is None else max(low, self.minimum)
         hi = self.maximum if high is None else min(high, self.maximum)
-        if lo > hi:
+        if not lo <= hi:  # empty range, or a NaN bound
             return 0.0
         span = self.maximum - self.minimum
         if span <= 0:
@@ -96,17 +97,37 @@ class ColumnStatistics:
             inside = lo <= self.minimum <= hi
             fraction = 1.0 if inside else 0.0
         else:
-            bins = len(self.histogram)
+            histogram = self.histogram
+            minimum = self.minimum
+            bins = len(histogram)
             width = span / bins
+            # Only bins the range overlaps can add to the sum: a bin
+            # wholly below ``lo`` or above ``hi`` contributes
+            # ``count * 0.0``.  Guess the overlapped run by division,
+            # then widen it on the same float edges the sum uses (the
+            # edges are monotone in the bin index), so no bin with a
+            # positive overlap is ever skipped.
             covered = 0.0
-            for i, count in enumerate(self.histogram):
-                bin_lo = self.minimum + i * width
-                bin_hi = bin_lo + width
-                overlap = max(
-                    0.0, min(hi, bin_hi) - max(lo, bin_lo)
-                )
-                if width > 0 and count:
-                    covered += count * (overlap / width)
+            if width > 0:
+                last_bin = bins - 1
+                first = min(last_bin, int((lo - minimum) / width))
+                last = min(last_bin, int((hi - minimum) / width))
+                while first > 0 and minimum + (first - 1) * width + width > lo:
+                    first -= 1
+                while last < last_bin and minimum + (last + 1) * width < hi:
+                    last += 1
+                for i in range(first, last + 1):
+                    count = histogram[i]
+                    if not count:
+                        continue
+                    bin_lo = minimum + i * width
+                    bin_hi = bin_lo + width
+                    # min(hi, bin_hi) - max(lo, bin_lo), clamped at 0.0
+                    overlap = (bin_hi if bin_hi < hi else hi) - (
+                        bin_lo if bin_lo > lo else lo
+                    )
+                    if overlap > 0.0:
+                        covered += count * (overlap / width)
             # The max value sits on the last bin's upper edge; clamp.
             fraction = min(1.0, covered / max(1, self.non_null_count))
         return fraction * (self.non_null_count / max(1, self.row_count))
@@ -163,8 +184,89 @@ class TableStatistics:
         return self.columns.get(name.lower())
 
 
+#: Selectivity of one predicate, given the query's literal values.
+Selectivity = Callable[[Sequence[Any]], float]
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _default_selectivity(values: Sequence[Any]) -> float:
+    return DEFAULT_SELECTIVITY
+
+
+@dataclass(frozen=True)
+class YieldProgram:
+    """One query shape's yield estimate as a function of its literals.
+
+    Everything an estimate reads from the plan and the statistics is
+    resolved once per shape; what is left per query is the arithmetic
+    on the literal values, in the order the tree walk this replaced
+    performed it.
+
+    Attributes:
+        tables: Per scope entry, the table's row count and the
+            selectivities of its local predicates.
+        join_divisors: Per join edge, the larger distinct count of the
+            two keys (the classic equi-join estimate).
+        residuals: Number of residual predicates (default selectivity
+            each).
+        has_aggregates: Whether the output is grouped.
+        groups: Group-count bound from the GROUP BY columns' distinct
+            counts; ``None`` without GROUP BY (one output row).
+        distinct: Whether SELECT DISTINCT applies its mild dedup factor.
+        limit: TOP/LIMIT count, if any.
+        width: Output row width in bytes.
+    """
+
+    tables: Tuple[Tuple[float, Tuple[Selectivity, ...]], ...]
+    join_divisors: Tuple[int, ...]
+    residuals: int
+    has_aggregates: bool
+    groups: Optional[float]
+    distinct: bool
+    limit: Optional[float]
+    width: int
+
+    def rows(self, values: Sequence[Any]) -> float:
+        """Estimated row count of the result."""
+        cardinality = 1.0
+        for rows, predicates in self.tables:
+            selectivity = 1.0
+            for predicate in predicates:
+                selectivity *= predicate(values)
+            cardinality *= rows * selectivity
+        for distinct in self.join_divisors:
+            cardinality /= distinct
+        for _ in range(self.residuals):
+            cardinality *= DEFAULT_SELECTIVITY
+        if self.has_aggregates:
+            groups = self.groups
+            if groups is None:
+                cardinality = 1.0
+            elif cardinality > 0:
+                cardinality = min(groups, cardinality)
+            else:
+                cardinality = groups
+        if self.distinct:
+            cardinality *= 0.9  # mild dedup assumption
+        if self.limit is not None:
+            cardinality = min(cardinality, self.limit)
+        return max(0.0, cardinality)
+
+    def __call__(self, values: Sequence[Any]) -> float:
+        """Estimated result bytes: rows x output row width."""
+        return self.rows(values) * self.width
+
+
 class YieldEstimator:
-    """Estimate result sizes from statistics, never touching the data."""
+    """Estimate result sizes from statistics, never touching the data.
+
+    An estimate is the plan's shape compiled once into a
+    :class:`YieldProgram` (kept in the plan's
+    :class:`~repro.sqlengine.planner.ShapeFacts`, so every plan of the
+    shape shares it), applied to the plan's literal values.  The
+    statistics are read at compile time: do not mutate them afterwards.
+    """
 
     def __init__(self, stats_by_table: Dict[str, TableStatistics]) -> None:
         self._stats = {
@@ -188,45 +290,70 @@ class YieldEstimator:
     # -- cardinality -----------------------------------------------------
 
     def estimate_rows(self, plan: QueryPlan) -> float:
-        """Estimated row count of a plan's result (pre-LIMIT)."""
-        cardinality = 1.0
-        for entry in plan.scope:
-            stats = self.table_stats(entry.table_name)
-            rows = float(stats.row_count) if stats else 1000.0
-            selectivity = 1.0
-            for predicate in plan.local_predicates.get(entry.binding, []):
-                selectivity *= self._selectivity(predicate, entry)
-            cardinality *= rows * selectivity
-
-        for edge in plan.join_edges:
-            # Classic equi-join estimate: divide by the larger distinct
-            # count of the two join keys.
-            distinct = max(
-                self._distinct(plan, edge.left_binding, edge.left_column),
-                self._distinct(
-                    plan, edge.right_binding, edge.right_column
-                ),
-                1,
-            )
-            cardinality /= distinct
-
-        for predicate in plan.residual_predicates:
-            cardinality *= DEFAULT_SELECTIVITY
-
-        if plan.has_aggregates:
-            cardinality = self._estimate_groups(plan, cardinality)
-        if plan.statement.distinct:
-            cardinality *= 0.9  # mild dedup assumption
-        if plan.statement.limit is not None:
-            cardinality = min(cardinality, float(plan.statement.limit))
-        return max(0.0, cardinality)
+        """Estimated row count of a plan's result."""
+        return self._program(plan).rows(plan_literals(plan))
 
     def estimate_yield(self, plan: QueryPlan) -> float:
         """Estimated result bytes: rows x output row width."""
-        width = sum(out.width for out in plan.outputs)
-        return self.estimate_rows(plan) * width
+        return self._program(plan)(plan_literals(plan))
 
-    # -- internals ---------------------------------------------------------
+    # -- compilation -------------------------------------------------------
+
+    def _program(self, plan: QueryPlan) -> YieldProgram:
+        return plan.facts.fill(
+            "yield_program", self._compile, plan, owner=self
+        )
+
+    def _compile(self, plan: QueryPlan) -> YieldProgram:
+        # Literal nodes are addressed by their position in the
+        # statement's text-order walk — the order a shape hit's
+        # extracted values arrive in.  A literal the walk does not
+        # reach (NULL, a hand-built predicate) is a constant.
+        slots = {
+            id(node): slot
+            for slot, node in enumerate(literal_nodes(plan.statement))
+        }
+
+        def value_of(node: Literal) -> Callable[[Sequence[Any]], Any]:
+            slot = slots.get(id(node))
+            if slot is not None:
+                return itemgetter(slot)
+            constant = node.value
+            return lambda values: constant
+
+        tables = []
+        for entry in plan.scope:
+            stats = self.table_stats(entry.table_name)
+            rows = float(stats.row_count) if stats else 1000.0
+            predicates = tuple(
+                self._compile_selectivity(predicate, entry, value_of)
+                for predicate in plan.local_predicates.get(
+                    entry.binding, []
+                )
+            )
+            tables.append((rows, predicates))
+        limit = plan.statement.limit
+        return YieldProgram(
+            tables=tuple(tables),
+            join_divisors=tuple(
+                max(
+                    self._distinct(
+                        plan, edge.left_binding, edge.left_column
+                    ),
+                    self._distinct(
+                        plan, edge.right_binding, edge.right_column
+                    ),
+                    1,
+                )
+                for edge in plan.join_edges
+            ),
+            residuals=len(plan.residual_predicates),
+            has_aggregates=plan.has_aggregates,
+            groups=self._group_bound(plan),
+            distinct=plan.statement.distinct,
+            limit=None if limit is None else float(limit),
+            width=sum(out.width for out in plan.outputs),
+        )
 
     def _entry_column(
         self, entry: ScopeEntry, ref: ColumnRef
@@ -254,11 +381,9 @@ class YieldEstimator:
                 return col.distinct_count if col else 1
         return 1
 
-    def _estimate_groups(
-        self, plan: QueryPlan, input_rows: float
-    ) -> float:
+    def _group_bound(self, plan: QueryPlan) -> Optional[float]:
         if not plan.group_by:
-            return 1.0
+            return None
         groups = 1.0
         for expr in plan.group_by:
             if isinstance(expr, ColumnRef):
@@ -271,7 +396,7 @@ class YieldEstimator:
                     groups *= 10.0
             else:
                 groups *= 10.0
-        return min(groups, input_rows) if input_rows > 0 else groups
+        return groups
 
     def _operand_stats(
         self, operand: Expr, entry: ScopeEntry
@@ -281,89 +406,129 @@ class YieldEstimator:
             return self._entry_column(entry, operand)
         return None
 
-    def _selectivity(self, predicate: Expr, entry: ScopeEntry) -> float:
+    def _compile_selectivity(
+        self,
+        predicate: Expr,
+        entry: ScopeEntry,
+        value_of: Callable[[Literal], Callable[[Sequence[Any]], Any]],
+    ) -> Selectivity:
+        """``predicate``'s selectivity as a function of the literals.
+
+        Which operand is a column and which a literal is structure;
+        what *type* a literal has is not (``x = 5`` and ``x = 'a'``
+        share a shape), so type checks run per evaluation.
+        """
         if isinstance(predicate, BinaryOp):
-            return self._selectivity_binary(predicate, entry)
+            if predicate.op in ("and", "or"):
+                left = self._compile_selectivity(
+                    predicate.left, entry, value_of
+                )
+                right = self._compile_selectivity(
+                    predicate.right, entry, value_of
+                )
+                if predicate.op == "and":
+                    return lambda values: left(values) * right(values)
+
+                def either(values: Sequence[Any]) -> float:
+                    a = left(values)
+                    b = right(values)
+                    return min(1.0, a + b - a * b)
+
+                return either
+            return self._compile_comparison(predicate, entry, value_of)
         if isinstance(predicate, BetweenOp):
             column = self._operand_stats(predicate.operand, entry)
-            low = _literal_number(predicate.low)
-            high = _literal_number(predicate.high)
-            if column is None or low is None or high is None:
-                return DEFAULT_SELECTIVITY
-            inside = column.selectivity_range(low, high)
-            return 1.0 - inside if predicate.negated else inside
+            if (
+                column is None
+                or not isinstance(predicate.low, Literal)
+                or not isinstance(predicate.high, Literal)
+            ):
+                return _default_selectivity
+            low_of = value_of(predicate.low)
+            high_of = value_of(predicate.high)
+            between_range = column.selectivity_range
+            not_between = predicate.negated
+
+            def between(values: Sequence[Any]) -> float:
+                low = low_of(values)
+                high = high_of(values)
+                if not isinstance(low, (int, float)) or not isinstance(
+                    high, (int, float)
+                ):
+                    return DEFAULT_SELECTIVITY
+                inside = between_range(float(low), float(high))
+                return 1.0 - inside if not_between else inside
+
+            return between
         if isinstance(predicate, InOp):
             column = self._operand_stats(predicate.operand, entry)
             if column is None:
-                return DEFAULT_SELECTIVITY
-            total = 0.0
-            for item in predicate.items:
-                if isinstance(item, Literal):
-                    total += column.selectivity_eq(item.value)
-            total = min(1.0, total)
-            return 1.0 - total if predicate.negated else total
+                return _default_selectivity
+            items = tuple(
+                value_of(item)
+                for item in predicate.items
+                if isinstance(item, Literal)
+            )
+            item_eq = column.selectivity_eq
+            not_in = predicate.negated
+
+            def within(values: Sequence[Any]) -> float:
+                total = 0.0
+                for item_of in items:
+                    total += item_eq(item_of(values))
+                total = min(1.0, total)
+                return 1.0 - total if not_in else total
+
+            return within
         if isinstance(predicate, IsNullOp):
             column = self._operand_stats(predicate.operand, entry)
             if column is None:
-                return DEFAULT_SELECTIVITY
+                return _default_selectivity
             fraction = column.selectivity_null()
-            return 1.0 - fraction if predicate.negated else fraction
+            if predicate.negated:
+                fraction = 1.0 - fraction
+            return lambda values: fraction
         if isinstance(predicate, UnaryOp) and predicate.op == "not":
-            return 1.0 - self._selectivity(predicate.operand, entry)
-        return DEFAULT_SELECTIVITY
+            operand = self._compile_selectivity(
+                predicate.operand, entry, value_of
+            )
+            return lambda values: 1.0 - operand(values)
+        return _default_selectivity
 
-    def _selectivity_binary(
-        self, predicate: BinaryOp, entry: ScopeEntry
-    ) -> float:
-        if predicate.op == "and":
-            return self._selectivity(
-                predicate.left, entry
-            ) * self._selectivity(predicate.right, entry)
-        if predicate.op == "or":
-            left = self._selectivity(predicate.left, entry)
-            right = self._selectivity(predicate.right, entry)
-            return min(1.0, left + right - left * right)
-
-        column, value, op = self._comparison_parts(predicate, entry)
-        if column is None or op is None:
-            return DEFAULT_SELECTIVITY
+    def _compile_comparison(
+        self,
+        predicate: BinaryOp,
+        entry: ScopeEntry,
+        value_of: Callable[[Literal], Callable[[Sequence[Any]], Any]],
+    ) -> Selectivity:
+        left, right, op = predicate.left, predicate.right, predicate.op
+        if isinstance(left, ColumnRef) and isinstance(right, Literal):
+            column = self._entry_column(entry, left)
+            operand = value_of(right)
+        elif isinstance(right, ColumnRef) and isinstance(left, Literal):
+            column = self._entry_column(entry, right)
+            operand = value_of(left)
+            op = _FLIPPED.get(op, op)
+        else:
+            return _default_selectivity
+        if column is None:
+            return _default_selectivity
+        eq = column.selectivity_eq
         if op == "=":
-            return column.selectivity_eq(value)
+            return lambda values: eq(operand(values))
         if op == "<>":
-            return max(0.0, 1.0 - column.selectivity_eq(value))
-        if not isinstance(value, (int, float)):
-            return DEFAULT_SELECTIVITY
-        if op in ("<", "<="):
-            return column.selectivity_range(None, float(value))
-        if op in (">", ">="):
-            return column.selectivity_range(float(value), None)
-        return DEFAULT_SELECTIVITY
+            return lambda values: max(0.0, 1.0 - eq(operand(values)))
+        if op not in _FLIPPED:
+            return _default_selectivity
+        in_range = column.selectivity_range
+        below = op in ("<", "<=")
 
-    def _comparison_parts(
-        self, predicate: BinaryOp, entry: ScopeEntry
-    ) -> Tuple[Optional[ColumnStatistics], Any, Optional[str]]:
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        if isinstance(predicate.left, ColumnRef) and isinstance(
-            predicate.right, Literal
-        ):
-            return (
-                self._entry_column(entry, predicate.left),
-                predicate.right.value,
-                predicate.op,
-            )
-        if isinstance(predicate.right, ColumnRef) and isinstance(
-            predicate.left, Literal
-        ):
-            op = flipped.get(predicate.op, predicate.op)
-            return (
-                self._entry_column(entry, predicate.right),
-                predicate.left.value,
-                op,
-            )
-        return None, None, None
+        def bounded(values: Sequence[Any]) -> float:
+            value = operand(values)
+            if not isinstance(value, (int, float)):
+                return DEFAULT_SELECTIVITY
+            if below:
+                return in_range(None, float(value))
+            return in_range(float(value), None)
 
-
-def _literal_number(expr: Expr) -> Optional[float]:
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
-        return float(expr.value)
-    return None
+        return bounded

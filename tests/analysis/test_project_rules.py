@@ -144,6 +144,34 @@ class TestRPR010SpanSinkSurface:
         assert project_rule("RPR010", "rpr010_spans_good") == []
 
 
+class TestRPR010ShapeFactsSurface:
+    """The per-shape memo every plan of a shape shares is contract-
+    owned: ``ShapeFacts.fill`` is the one write seam."""
+
+    def test_fires_on_seeded_violations(self):
+        violations = project_rule("RPR010", "rpr010_facts_bad")
+        assert all(v.rule_id == "RPR010" for v in violations)
+        assert len(violations) == 2
+
+    def test_edit_outside_fill_is_flagged(self):
+        violations = project_rule("RPR010", "rpr010_facts_bad")
+        (self_write,) = [v for v in violations if "facts.py" in v.path]
+        assert "ShapeFacts.forget" in self_write.message
+        assert "'_facts'" in self_write.message
+        assert "fill" in self_write.message
+
+    def test_ad_hoc_memo_write_at_a_use_site_is_flagged(self):
+        violations = project_rule("RPR010", "rpr010_facts_bad")
+        (external,) = [
+            v for v in violations if "attribute.py" in v.path
+        ]
+        assert "reaches into shared attribute" in external.message
+        assert "ShapeFacts" in external.message
+
+    def test_fill_seam_passes(self):
+        assert project_rule("RPR010", "rpr010_facts_good") == []
+
+
 class TestProjectCli:
     BAD = str(FLOW / "rpr010_bad")
 

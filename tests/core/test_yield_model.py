@@ -163,3 +163,40 @@ class TestReferencedObjectIds:
             plan("SELECT COUNT(*) FROM PhotoObj", lookup), "column"
         )
         assert ids == ["PhotoObj.objID"]
+
+
+class TestSharedFactsAreReadOnly:
+    """What attribution caches per shape is handed to every plan of the
+    shape: callers get immutables, and fresh dicts to fill."""
+
+    def test_referenced_columns_cannot_be_edited(self, lookup):
+        refs = referenced_columns(plan(PAPER_STYLE_JOIN, lookup))
+        with pytest.raises(TypeError):
+            refs["PhotoObj"] = frozenset()
+        with pytest.raises(AttributeError):
+            refs["PhotoObj"].add("type")
+
+    def test_attributions_are_private_dicts(self, lookup):
+        join = plan(PAPER_STYLE_JOIN, lookup)
+        first = attribute_yield_columns(join, 46.0)
+        first.clear()
+        assert sum(attribute_yield_columns(join, 46.0).values()) == 46.0
+        ids = referenced_object_ids(join, "column")
+        ids.clear()
+        assert referenced_object_ids(join, "column")
+
+    def test_column_shares_come_in_scope_then_schema_order(self, lookup):
+        join = plan(PAPER_STYLE_JOIN, lookup)
+        assert list(attribute_yield_columns(join, 1.0)) == (
+            referenced_object_ids(join, "column")
+        )
+        assert list(attribute_yield_columns(join, 1.0)) == [
+            "SpecObj.objID",
+            "SpecObj.z",
+            "SpecObj.zConf",
+            "SpecObj.specClass",
+            "PhotoObj.objID",
+            "PhotoObj.ra",
+            "PhotoObj.dec",
+            "PhotoObj.modelMag_g",
+        ]

@@ -62,7 +62,7 @@ class TestBypassSingleServer:
             "SELECT p.objID FROM PhotoObj p, SpecObj s "
             "WHERE p.objID = s.objID"
         )
-        assert mediator.servers_for_plan(plan) == ["sdss"]
+        assert mediator.servers_for_plan(plan) == ("sdss",)
 
 
 class TestBypassMultiServer:

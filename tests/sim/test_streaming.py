@@ -203,3 +203,45 @@ class TestStreamBatchGoldenEquivalence:
             build_policy(
                 "static", CAPACITY, stream, mediator.federation, "table"
             )
+
+
+class TestTreesAreBuiltOnlyWhenRead:
+    """``ShapePlanner.tree_builds`` notices a silent de-optimisation:
+    pricing a query from statistics needs the shape's shared facts and
+    the literal values, never the rebound trees."""
+
+    QUERIES = 2000
+
+    def _replay(self, mode):
+        mediator = _build_mediator(PROFILES["small"])
+        source = make_yield_source(mode, mediator=mediator)
+        stream = GeneratedStream(
+            TraceConfig(num_queries=self.QUERIES, flavor="edr"),
+            mediator,
+            source,
+            PROFILES["small"],
+        )
+        policy = build_policy(
+            "online-by", CAPACITY, stream, mediator.federation, "table"
+        )
+        result = Simulator(mediator.federation, "table").run_stream(
+            stream, policy, record_series="sampled"
+        )
+        assert result.queries == self.QUERIES
+        return mediator._shapes
+
+    def test_estimated_replay_builds_trees_once_per_shape(self):
+        planner = self._replay("estimated")
+        verified = sum(
+            1
+            for entry in planner._shapes.values()
+            if entry is not None and entry.verified
+        )
+        assert planner.fallbacks == 0
+        assert planner.shape_hits > self.QUERIES // 2
+        assert planner.tree_builds == verified <= planner.cached_shapes
+
+    def test_exact_replay_builds_every_hit(self):
+        planner = self._replay("exact")
+        assert planner.shape_hits > self.QUERIES // 2
+        assert planner.tree_builds == planner.shape_hits

@@ -13,7 +13,11 @@ import pytest
 from repro.sim.scale_run import _build_mediator
 from repro.sqlengine.parser import parse
 from repro.sqlengine.planner import plan_select
-from repro.sqlengine.shapes import ShapePlanner, query_shape
+from repro.sqlengine.shapes import (
+    ShapePlanner,
+    query_shape,
+    statement_literals,
+)
 from repro.workload.generator import TraceConfig, iter_trace_records
 from repro.workload.sdss_schema import PROFILES
 
@@ -149,3 +153,116 @@ class TestShapePlanner:
             sql = template.format(n=n)
             assert planner.plan(sql) == plan_select(parse(sql), lookup)
         assert planner.shape_hits == 2
+
+
+class TestDeferredTrees:
+    """A shape hit carries literals and shared facts; its trees are
+    rebound on first read, and only then."""
+
+    SQL = "SELECT ra FROM PhotoObj WHERE objID = {n} AND dec < {n}.5"
+
+    def _hit(self, lookup):
+        planner = ShapePlanner(lookup)
+        for n in (1, 2):  # template, then the verified first rebind
+            planner.plan(self.SQL.format(n=n))
+        return planner, planner.plan(self.SQL.format(n=3))
+
+    def test_hit_carries_literals_and_builds_nothing(self, lookup):
+        planner, plan = self._hit(lookup)
+        assert plan.literals == [3, 3.5]
+        assert (planner.shape_hits, planner.tree_builds) == (2, 1)
+
+    def test_first_tree_read_builds_once(self, lookup):
+        planner, plan = self._hit(lookup)
+        fresh = plan_select(parse(self.SQL.format(n=3)), lookup)
+        assert plan.scope == fresh.scope
+        assert planner.tree_builds == 2
+        assert plan.local_predicates == fresh.local_predicates
+        assert plan.statement == fresh.statement
+        assert planner.tree_builds == 2
+
+    def test_equality_is_of_the_materialized_trees(self, lookup):
+        _, plan = self._hit(lookup)
+        fresh = plan_select(parse(self.SQL.format(n=3)), lookup)
+        other = plan_select(parse(self.SQL.format(n=4)), lookup)
+        assert plan == fresh and fresh == plan
+        assert plan != other and other != plan
+        assert repr(plan) == repr(fresh)
+
+    def test_plans_of_a_shape_share_one_record(self, lookup):
+        planner = ShapePlanner(lookup)
+        plans = [planner.plan(self.SQL.format(n=n)) for n in range(4)]
+        assert len({id(plan.facts) for plan in plans}) == 1
+        assert plans[0].literals is None  # the template: a fresh plan
+        assert plan_select(
+            parse(self.SQL.format(n=0)), lookup
+        ).facts is not plans[0].facts
+
+    def test_unknown_attribute_still_raises(self, lookup):
+        _, plan = self._hit(lookup)
+        with pytest.raises(AttributeError):
+            plan.no_such_field
+
+
+class TestSharedFactsVerification:
+    """The first rebind also checks what the shape's record holds."""
+
+    def test_literal_dependent_fact_demotes_the_shape(self, lookup):
+        planner = ShapePlanner(lookup)
+        sql = "SELECT ra FROM PhotoObj WHERE objID = {n}"
+        template = planner.plan(sql.format(n=1))
+        # Not a function of the shape: differs on the next literal.
+        template.facts.fill(
+            "first_literal",
+            lambda plan: statement_literals(plan.statement)[0],
+            template,
+        )
+        second = planner.plan(sql.format(n=2))
+        assert second == plan_select(parse(sql.format(n=2)), lookup)
+        assert second.facts is not template.facts
+        assert (planner.shape_hits, planner.fallbacks) == (0, 1)
+        assert planner.tree_builds == 0
+        planner.plan(sql.format(n=3))
+        assert (planner.shape_hits, planner.fallbacks) == (0, 2)
+
+    def test_functions_of_the_literals_compare_by_value(self, lookup):
+        sql = "SELECT ra FROM PhotoObj WHERE objID = {a} AND dec < {b}"
+
+        def first_slot(plan):
+            return lambda values: values[0]
+
+        def skewed(plan):
+            # Zero on the plan it was compiled from, and only there.
+            first = statement_literals(plan.statement)[0]
+            return lambda values: values[0] - first
+
+        for compute, fallbacks in ((first_slot, 0), (skewed, 1)):
+            planner = ShapePlanner(lookup)
+            template = planner.plan(sql.format(a=1, b=2))
+            template.facts.fill("program", compute, template)
+            planner.plan(sql.format(a=3, b=4))
+            assert planner.fallbacks == fallbacks
+
+    def test_shape_invariant_facts_verify(self, lookup):
+        from repro.core.yield_model import (
+            attribute_yield_columns,
+            attribute_yield_tables,
+        )
+
+        planner = ShapePlanner(lookup)
+        sql = (
+            "SELECT p.ra, s.z FROM PhotoObj p JOIN SpecObj s "
+            "ON p.objID = s.objID WHERE p.dec > {n}"
+        )
+        template = planner.plan(sql.format(n=1))
+        attribute_yield_tables(template, 10.0)
+        attribute_yield_columns(template, 10.0)
+        hit = planner.plan(sql.format(n=2))
+        assert (planner.shape_hits, planner.fallbacks) == (1, 0)
+        assert hit.facts is template.facts
+        builds = planner.tree_builds
+        fresh = plan_select(parse(sql.format(n=2)), lookup)
+        assert attribute_yield_columns(hit, 7.0) == attribute_yield_columns(
+            fresh, 7.0
+        )
+        assert planner.tree_builds == builds  # served from the record

@@ -49,6 +49,38 @@ class TestMakeTrace:
             r.sql for r in Trace.load(b)
         ]
 
+    def test_prepared_bytes_do_not_follow_the_hash_seed(self, tmp_path):
+        # Same seed, same bytes on disk: the key order inside
+        # ``column_yields`` must come from the schema, not from a set.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        written = []
+        for hash_seed in ("1", "2"):
+            output = tmp_path / f"hash{hash_seed}.jsonl"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.workload.make_trace",
+                    "-n", "60", "--profile", "tiny", "--prepare",
+                    "-o", str(output),
+                ],
+                check=True,
+                capture_output=True,
+                timeout=120,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": src,
+                    "PYTHONHASHSEED": hash_seed,
+                },
+            )
+            prepared = tmp_path / f"hash{hash_seed}.jsonl.prepared.jsonl"
+            written.append(prepared.read_bytes())
+        assert written[0] == written[1]
+
     def test_rejects_unknown_flavor(self, tmp_path):
         with pytest.raises(SystemExit):
             make_trace_main(
