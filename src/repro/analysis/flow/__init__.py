@@ -1,25 +1,23 @@
 """Whole-project semantic analysis under the ``repro-lint`` engine.
 
-:func:`analyze_project` is the entry point: load every module of a
-package once, extract (or replay from cache) the per-module local
-summaries, link them into a call graph, and run the interprocedural
-fixpoint.  The resulting :class:`ProjectAnalysis` powers the
-project-aware rules (RPR008–RPR010) and sharpens the per-file ones.
+:func:`analyze_modules` is the entry point: extract every loaded
+module's local facts, link them into a call graph, and run the
+interprocedural fixpoint.  Every lint run goes through it — a lone
+file is a one-module project — and the resulting
+:class:`ProjectAnalysis` is what the rules read.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Dict
 
-from repro.analysis.flow.cache import load_cache, save_cache
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.extract import (
     ModuleSummary,
     SuppressionCheck,
     extract_module,
 )
-from repro.analysis.flow.loader import ModuleInfo, load_project
+from repro.analysis.flow.loader import ModuleInfo
 from repro.analysis.flow.summaries import (
     FunctionSummary,
     ProjectAnalysis,
@@ -33,7 +31,7 @@ __all__ = [
     "ModuleSummary",
     "ProjectAnalysis",
     "Taint",
-    "analyze_project",
+    "analyze_modules",
 ]
 
 
@@ -60,59 +58,15 @@ def _suppression_for(info: ModuleInfo) -> SuppressionCheck:
     return suppressed
 
 
-def analyze_project(
-    root: Path,
-    package: Optional[str] = None,
-    cache_path: Optional[Path] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    modules: Optional[Dict[str, ModuleInfo]] = None,
-) -> ProjectAnalysis:
-    """Analyze every module under ``root`` and return the facade.
-
-    ``cache_path`` enables the per-module summary cache: modules whose
-    SHA-256 matches a cached entry skip both the parse and the
-    extraction walk.  The global fixpoint always runs fresh.  Pass
-    ``modules`` to reuse an already-loaded project (the engine does, so
-    files are read once per lint run).
-    """
-    root = Path(root)
-    if modules is None:
-        modules = load_project(root, package)
-    cached = load_cache(cache_path) if cache_path is not None else {}
-    entries: Dict[str, Dict[str, Any]] = {}
-    summaries: Dict[str, ModuleSummary] = {}
-    hits = 0
-    misses = 0
-    for name in sorted(modules):
-        info = modules[name]
-        entry = cached.get(name)
-        if entry is not None and entry["sha256"] == info.sha256:
-            summaries[name] = ModuleSummary.from_json(entry["summary"])
-            entries[name] = entry
-            hits += 1
-            continue
-        misses += 1
-        if progress is not None:
-            progress(f"extracting {name}")
-        summary = extract_module(
-            module=name,
-            path=str(info.path),
-            sha256=info.sha256,
-            tree=info.tree,
-            suppressed=_suppression_for(info),
-        )
-        summaries[name] = summary
-        entries[name] = {
-            "sha256": info.sha256,
-            "summary": summary.to_json(),
+def analyze_modules(modules: Dict[str, ModuleInfo]) -> ProjectAnalysis:
+    """Analyze the loaded (and parseable) ``modules`` as one project."""
+    return ProjectAnalysis(
+        {
+            name: extract_module(
+                module=name,
+                tree=info.tree,
+                suppressed=_suppression_for(info),
+            )
+            for name, info in sorted(modules.items())
         }
-    if cache_path is not None:
-        save_cache(cache_path, entries)
-    analysis = ProjectAnalysis(root=root, summaries=summaries)
-    analysis.stats = {
-        "modules": len(modules),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "functions": len(analysis.graph.functions),
-    }
-    return analysis
+    )

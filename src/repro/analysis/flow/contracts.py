@@ -1,19 +1,19 @@
 """The effect-contract registry: shared state, mutators, and seams.
 
-This module is the contract surface the async multi-tenant mediator
-will lock against (ROADMAP's top open item): it declares *which*
-attributes constitute shared policy/cache/ledger state, *which*
-methods are the sanctioned mutators of that state, and *which*
-functions are the sanctioned seams through which nondeterminism and
-wall clocks may enter a deterministic replay.
+This module is the one place the lint rules' contracts are declared:
+*which* attributes constitute shared policy/cache/ledger/accounting
+state, *which* methods are the sanctioned mutators of that state,
+*which* functions are the sanctioned seams through which
+nondeterminism and wall clocks may enter a deterministic replay, and
+*which* owners mutate only under the service's decision lock.
 
-Three rule families consume it:
+Three rules consume it:
 
-* RPR010 flags writes to a contract's attributes outside its mutators;
-* RPR009 stops nondeterminism taint at the sanctioned seams;
-* RPR002 / RPR004 share the nondet-source tables and the accounting
-  owner/field sets so the per-file and project-wide phases cannot
-  drift apart.
+* RPR004 flags writes to a contract's attributes outside its mutators;
+* RPR002 reads the nondet-source tables and stops nondeterminism taint
+  at the sanctioned seams;
+* RPR011 flags service code calling a lock-guarded owner's mutators
+  around the lock-holder seam.
 
 Contracts registered here are defaults for ``src/repro``; tests and
 future subsystems add their own via :func:`register_contract`.
@@ -276,6 +276,47 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
             "one seam yield_model, statistics and mediator write through"
         ),
     ),
+    # The accounting value objects: built once, never written again.
+    EffectContract(
+        owner="QueryAccounting",
+        attrs=frozenset(
+            {
+                "load_bytes",
+                "load_cost",
+                "bypass_bytes",
+                "bypass_cost",
+                "retry_bytes",
+                "retry_cost",
+                "peer_bytes",
+                "peer_cost",
+                "wan_bytes",
+                "weighted_cost",
+            }
+        ),
+        mutators=frozenset(),
+        description="one query's WAN charges (frozen)",
+    ),
+    EffectContract(
+        owner="FederatedResult",
+        attrs=frozenset({"wan_bytes", "wan_cost"}),
+        mutators=frozenset(),
+        description="one bypass execution's WAN totals",
+    ),
+    EffectContract(
+        owner="DecisionEvent",
+        attrs=frozenset(
+            {
+                "load_bytes",
+                "bypass_bytes",
+                "retry_bytes",
+                "peer_bytes",
+                "wan_bytes",
+                "weighted_cost",
+            }
+        ),
+        mutators=frozenset(),
+        description="one persisted decision's WAN charges (frozen)",
+    ),
     EffectContract(
         owner="SpanWriter",
         attrs=frozenset({"spans_written", "_handle"}),
@@ -339,19 +380,11 @@ def strict_attrs() -> FrozenSet[str]:
     return frozenset(names)
 
 
-#: Accounting owners/fields shared with the per-file RPR004 rule, so
-#: the two phases police the same surface.
-ACCOUNTING_OWNERS: FrozenSet[str] = frozenset(
-    {
-        "TrafficLedger",
-        "QueryAccounting",
-        "CostBreakdown",
-        "SimulationResult",
-        "FederatedResult",
-        "DecisionEvent",
-    }
-)
-
+#: The WAN accounting vocabulary.  These names are reserved for the
+#: accounting contracts above wherever they appear: RPR004 flags a
+#: write to one even on ``self`` in a class that owns no contract for
+#: it (any other contract attribute is only policed on ``self`` inside
+#: its owner, where the class name disambiguates it).
 ACCOUNTING_FIELDS: FrozenSet[str] = frozenset(
     {
         "load_bytes",
@@ -433,12 +466,4 @@ def lock_guarded_mutator_names() -> FrozenSet[str]:
     names = set()
     for contract in lock_guarded_contracts():
         names.update(contract.mutators - _GENERIC_MUTATOR_NAMES)
-    return frozenset(names)
-
-
-def lock_guarded_attrs() -> FrozenSet[str]:
-    """Attribute names owned by the lock-guarded contracts."""
-    names = set()
-    for contract in lock_guarded_contracts():
-        names.update(contract.attrs)
     return frozenset(names)

@@ -1,20 +1,16 @@
-"""Per-module local-summary extraction (the cacheable analysis half).
+"""Per-module fact extraction (the local half of the analysis).
 
 One pass over a module's AST produces a :class:`ModuleSummary`: for
-every function and method, the facts the interprocedural phase needs —
-parameter units, symbolic return expressions, every call site with
-symbolic argument units, unit-mixing candidate sites, direct
-nondeterminism sites, and shared-state attribute writes.  Everything
-is JSON-serializable, so summaries round-trip through the on-disk
-cache and warm runs skip both the parse and this walk.
+every function and method — and for the module's own top-level
+statements, kept as the pseudo-function ``<module>`` — the facts the
+interprocedural phase and the lint rules read: parameter units,
+symbolic return expressions, every call site with symbolic argument
+units, unit-mixing candidate sites, direct nondeterminism sites,
+full-scan constructs, and attribute writes.
 
-The symbolic unit inference mirrors the per-file RPR001 rule — names
-carry units, assignments propagate them, branches merge — but instead
-of resolving calls against a hard-coded table it emits ``["c", i]``
-placeholders that the summary phase evaluates against real callee
-summaries.  Each mixing candidate also records whether *local*
-inference alone already proves the mix (``locally_flagged``), so the
-interprocedural rule RPR008 never re-reports what RPR001 catches.
+Names carry units, assignments propagate them, branches merge; a call
+becomes a ``["c", i]`` placeholder that the summary phase evaluates
+against the real callee's summary.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterator,
@@ -34,12 +29,10 @@ from typing import (
 
 from repro.analysis.flow import contracts
 from repro.analysis.flow.lattice import (
+    ANNOTATION_UNITS,
     AbstractUnit,
     UExpr,
     classify_name,
-    divide,
-    merge,
-    multiply,
     u_call,
     u_const,
     u_merge,
@@ -56,44 +49,18 @@ from repro.analysis.flow.symbols import (
     resolve_dotted,
 )
 
-#: Annotation names with a declared unit (the repro.core.units types).
-ANNOTATION_UNITS: Dict[str, AbstractUnit] = {
-    "RawBytes": AbstractUnit.RAW,
-    "AnyRawBytes": AbstractUnit.RAW,
-    "WeightedCost": AbstractUnit.WEIGHTED,
-    "AnyCost": AbstractUnit.WEIGHTED,
-    "Yield": AbstractUnit.YIELD,
-    "AnyYield": AbstractUnit.YIELD,
-}
-
 #: Builtins transparent to units (result = merged argument units).
 _TRANSPARENT_CALLS = frozenset(
     {"float", "int", "abs", "round", "max", "min", "sum"}
 )
 
-#: Bare callee names with a declared result unit — the same local
-#: heuristics RPR001 applies, used for the ``locally_flagged`` check.
-LOCAL_CALL_UNITS: Dict[str, AbstractUnit] = {
-    "weigh": AbstractUnit.WEIGHTED,
-    "unweigh": AbstractUnit.YIELD,
-    "RawBytes": AbstractUnit.RAW,
-    "raw_bytes": AbstractUnit.RAW,
-    "WeightedCost": AbstractUnit.WEIGHTED,
-    "Yield": AbstractUnit.YIELD,
-    "per_byte_weight": AbstractUnit.WEIGHT,
-    "fetch_cost": AbstractUnit.WEIGHTED,
-    "cost": AbstractUnit.WEIGHTED,
-    "size": AbstractUnit.RAW,
-    "size_of": AbstractUnit.RAW,
-    "object_size": AbstractUnit.RAW,
-}
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Name of the pseudo-function holding a module's import-time statements.
+MODULE_LEVEL = "<module>"
 
 #: ``line, rule_id -> suppressed`` predicate supplied by the engine.
 SuppressionCheck = Callable[[int, str], bool]
-
-
-def _never_suppressed(_line: int, _rule: str) -> bool:
-    return False
 
 
 @dataclass
@@ -107,27 +74,6 @@ class CallSite:
     kwargs: Dict[str, UExpr] = field(default_factory=dict)
     has_arguments: bool = False
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "ref": list(self.ref),
-            "line": self.line,
-            "col": self.col,
-            "args": self.args,
-            "kwargs": self.kwargs,
-            "has_arguments": self.has_arguments,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "CallSite":
-        return cls(
-            ref=tuple(str(part) for part in payload["ref"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            args=list(payload["args"]),
-            kwargs=dict(payload["kwargs"]),
-            has_arguments=bool(payload["has_arguments"]),
-        )
-
 
 @dataclass
 class MixSite:
@@ -138,28 +84,6 @@ class MixSite:
     verb: str
     left: UExpr
     right: UExpr
-    locally_flagged: bool = False
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "verb": self.verb,
-            "left": self.left,
-            "right": self.right,
-            "locally_flagged": self.locally_flagged,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "MixSite":
-        return cls(
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            verb=str(payload["verb"]),
-            left=list(payload["left"]),
-            right=list(payload["right"]),
-            locally_flagged=bool(payload["locally_flagged"]),
-        )
 
 
 @dataclass
@@ -170,26 +94,6 @@ class PairSite:
     col: int
     cost: UExpr
     yield_bytes: UExpr
-    locally_flagged: bool = False
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "cost": self.cost,
-            "yield_bytes": self.yield_bytes,
-            "locally_flagged": self.locally_flagged,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "PairSite":
-        return cls(
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            cost=list(payload["cost"]),
-            yield_bytes=list(payload["yield_bytes"]),
-            locally_flagged=bool(payload["locally_flagged"]),
-        )
 
 
 @dataclass
@@ -199,17 +103,6 @@ class NondetSite:
     reason: str
     line: int
     col: int
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"reason": self.reason, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "NondetSite":
-        return cls(
-            reason=str(payload["reason"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-        )
 
 
 @dataclass
@@ -222,25 +115,6 @@ class SharedWrite:
     line: int
     col: int
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "attr": self.attr,
-            "holder": self.holder,
-            "is_self": self.is_self,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "SharedWrite":
-        return cls(
-            attr=str(payload["attr"]),
-            holder=str(payload["holder"]),
-            is_self=bool(payload["is_self"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-        )
-
 
 @dataclass
 class FunctionFacts:
@@ -251,23 +125,22 @@ class FunctionFacts:
     lineno: int
     class_name: Optional[str] = None
     params: List[str] = field(default_factory=list)
-    param_units: List[str] = field(default_factory=list)
-    return_annotation_unit: Optional[str] = None
+    param_units: List[AbstractUnit] = field(default_factory=list)
+    return_annotation_unit: Optional[AbstractUnit] = None
     calls: List[CallSite] = field(default_factory=list)
     returns: List[UExpr] = field(default_factory=list)
     mixes: List[MixSite] = field(default_factory=list)
     pairs: List[PairSite] = field(default_factory=list)
     nondet: List[NondetSite] = field(default_factory=list)
     writes: List[SharedWrite] = field(default_factory=list)
-    #: ``[description, line, col]`` triples of full-scan constructs
-    #: (sorted()/min-max sweeps/.object_ids()), for RPR005's
-    #: project-mode helper-chain check.
-    scan_sites: List[List[Any]] = field(default_factory=list)
+    #: ``(description, line, col)`` of every full-scan construct
+    #: (sorted()/min-max sweeps/.object_ids()), read by RPR005.
+    scan_sites: List[Tuple[str, int, int]] = field(default_factory=list)
     is_generator: bool = False
 
     def param_unit(self, index: int) -> AbstractUnit:
         if 0 <= index < len(self.param_units):
-            return AbstractUnit[self.param_units[index]]
+            return self.param_units[index]
         return AbstractUnit.UNKNOWN
 
     def param_index(self, name: str) -> Optional[int]:
@@ -276,88 +149,14 @@ class FunctionFacts:
         except ValueError:
             return None
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "class_name": self.class_name,
-            "params": self.params,
-            "param_units": self.param_units,
-            "return_annotation_unit": self.return_annotation_unit,
-            "calls": [call.to_json() for call in self.calls],
-            "returns": self.returns,
-            "mixes": [mix.to_json() for mix in self.mixes],
-            "pairs": [pair.to_json() for pair in self.pairs],
-            "nondet": [site.to_json() for site in self.nondet],
-            "writes": [write.to_json() for write in self.writes],
-            "scan_sites": self.scan_sites,
-            "is_generator": self.is_generator,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            qualname=str(payload["qualname"]),
-            name=str(payload["name"]),
-            lineno=int(payload["lineno"]),
-            class_name=(
-                str(payload["class_name"])
-                if payload["class_name"] is not None
-                else None
-            ),
-            params=[str(p) for p in payload["params"]],
-            param_units=[str(u) for u in payload["param_units"]],
-            return_annotation_unit=(
-                str(payload["return_annotation_unit"])
-                if payload["return_annotation_unit"] is not None
-                else None
-            ),
-            calls=[CallSite.from_json(c) for c in payload["calls"]],
-            returns=list(payload["returns"]),
-            mixes=[MixSite.from_json(m) for m in payload["mixes"]],
-            pairs=[PairSite.from_json(p) for p in payload["pairs"]],
-            nondet=[NondetSite.from_json(n) for n in payload["nondet"]],
-            writes=[SharedWrite.from_json(w) for w in payload["writes"]],
-            scan_sites=[list(s) for s in payload["scan_sites"]],
-            is_generator=bool(payload["is_generator"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """The cached per-module product of the extraction pass."""
+    """The per-module product of the extraction pass."""
 
     module: str
-    path: str
-    sha256: str
     symbols: ModuleSymbols
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "sha256": self.sha256,
-            "symbols": self.symbols.to_json(),
-            "functions": {
-                qualname: facts.to_json()
-                for qualname, facts in self.functions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(payload["module"]),
-            path=str(payload["path"]),
-            sha256=str(payload["sha256"]),
-            symbols=ModuleSymbols.from_json(payload["symbols"]),
-            functions={
-                str(qualname): FunctionFacts.from_json(facts)
-                for qualname, facts in payload["functions"].items()
-            },
-        )
 
 
 def _annotation_unit(node: Optional[ast.expr]) -> Optional[AbstractUnit]:
@@ -397,19 +196,9 @@ class _FunctionExtractor:
             known = self.env.get(node.id)
             if known is not None:
                 return known
-            unit = classify_name(node.id)
-            return (
-                u_const(unit)
-                if unit is not AbstractUnit.UNKNOWN
-                else u_unknown()
-            )
+            return u_const(classify_name(node.id))
         if isinstance(node, ast.Attribute):
-            unit = classify_name(node.attr)
-            return (
-                u_const(unit)
-                if unit is not AbstractUnit.UNKNOWN
-                else u_unknown()
-            )
+            return u_const(classify_name(node.attr))
         if isinstance(node, ast.Call):
             return self._infer_call(node)
         if isinstance(node, ast.BinOp):
@@ -454,7 +243,7 @@ class _FunctionExtractor:
             node.lineno, "RPR005"
         ):
             self.facts.scan_sites.append(
-                [description, node.lineno, node.col_offset]
+                (description, node.lineno, node.col_offset)
             )
 
     def _infer_call(self, node: ast.Call) -> UExpr:
@@ -492,24 +281,12 @@ class _FunctionExtractor:
         index = len(self.facts.calls) - 1
         self._check_nondet_call(site)
         if "fetch_cost" in kwargs and "yield_bytes" in kwargs:
-            cost = kwargs["fetch_cost"]
-            yield_bytes = kwargs["yield_bytes"]
-            cost_unit = self.local_eval(cost)
-            yield_unit = self.local_eval(yield_bytes)
-            locally = (
-                cost_unit is AbstractUnit.WEIGHTED
-                and yield_unit in (AbstractUnit.RAW, AbstractUnit.YIELD)
-            ) or (
-                cost_unit in (AbstractUnit.RAW, AbstractUnit.YIELD)
-                and yield_unit is AbstractUnit.WEIGHTED
-            )
             self.facts.pairs.append(
                 PairSite(
                     line=node.lineno,
                     col=node.col_offset,
-                    cost=cost,
-                    yield_bytes=yield_bytes,
-                    locally_flagged=locally,
+                    cost=kwargs["fetch_cost"],
+                    yield_bytes=kwargs["yield_bytes"],
                 )
             )
         return u_call(index)
@@ -553,10 +330,6 @@ class _FunctionExtractor:
     def _record_mix(
         self, node: ast.AST, left: UExpr, right: UExpr, verb: str
     ) -> None:
-        left_unit = self.local_eval(left)
-        right_unit = self.local_eval(right)
-        from repro.analysis.flow.lattice import mixes
-
         self.facts.mixes.append(
             MixSite(
                 line=getattr(node, "lineno", self.facts.lineno),
@@ -564,41 +337,8 @@ class _FunctionExtractor:
                 verb=verb,
                 left=left,
                 right=right,
-                locally_flagged=mixes(left_unit, right_unit),
             )
         )
-
-    # -- local evaluation (RPR001-equivalent power) ---------------------
-
-    def local_eval(self, expr: UExpr, depth: int = 0) -> AbstractUnit:
-        """Evaluate a UExpr with per-file knowledge only."""
-        if depth > 16 or not expr:
-            return AbstractUnit.UNKNOWN
-        tag = expr[0]
-        if tag == "k":
-            return AbstractUnit[str(expr[1])]
-        if tag == "p":
-            return self.facts.param_unit(int(expr[1]))
-        if tag == "c":
-            site = self.facts.calls[int(expr[1])]
-            name = site.ref[-1].rsplit(".", 1)[-1]
-            return LOCAL_CALL_UNITS.get(name, AbstractUnit.UNKNOWN)
-        if tag == "mul":
-            return multiply(
-                self.local_eval(expr[1], depth + 1),
-                self.local_eval(expr[2], depth + 1),
-            )
-        if tag == "div":
-            return divide(
-                self.local_eval(expr[1], depth + 1),
-                self.local_eval(expr[2], depth + 1),
-            )
-        if tag == "merge":
-            return merge(
-                self.local_eval(expr[1], depth + 1),
-                self.local_eval(expr[2], depth + 1),
-            )
-        return AbstractUnit.UNKNOWN
 
     # -- effect sites ----------------------------------------------------
 
@@ -610,9 +350,7 @@ class _FunctionExtractor:
         )
         if reason is None:
             return
-        if self.suppressed(site.line, "RPR009") or self.suppressed(
-            site.line, "RPR002"
-        ):
+        if self.suppressed(site.line, "RPR002"):
             return
         self.facts.nondet.append(
             NondetSite(reason=reason, line=site.line, col=site.col)
@@ -627,9 +365,7 @@ class _FunctionExtractor:
         if not is_hazard:
             return
         line = iterable.lineno
-        if self.suppressed(line, "RPR009") or self.suppressed(
-            line, "RPR002"
-        ):
+        if self.suppressed(line, "RPR002"):
             return
         self.facts.nondet.append(
             NondetSite(
@@ -669,11 +405,11 @@ class _FunctionExtractor:
             self._sweep_missed_effects(statement)
 
     def _statement(self, statement: ast.stmt) -> None:
-        if isinstance(
-            statement,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-        ):
-            return  # nested scopes: effects collected by the sweep
+        if isinstance(statement, _FUNCTION_DEFS):
+            self._closure(statement)
+            return
+        if isinstance(statement, ast.ClassDef):
+            return  # effects collected by the sweep
         if isinstance(statement, ast.Assign):
             value = self.infer(statement.value)
             for target in statement.targets:
@@ -740,6 +476,17 @@ class _FunctionExtractor:
         elif isinstance(statement, ast.Raise):
             self.infer(statement.exc)
 
+    def _closure(self, node: ast.AST) -> None:
+        """Walk a nested function in place, under its own names: its
+        mixes, writes and calls count as the enclosing function's."""
+        outer_env, outer_returns = self.env, self.facts.returns
+        self.env = dict(outer_env)
+        for name, unit in zip(*_function_params(node, is_method=False)):
+            self.env[name] = u_const(unit)
+        self.facts.returns = []
+        self._walk(node.body)  # type: ignore[attr-defined]
+        self.env, self.facts.returns = outer_env, outer_returns
+
     def _branch(
         self, body: List[ast.stmt], orelse: List[ast.stmt]
     ) -> None:
@@ -805,49 +552,64 @@ def _is_generator(node: ast.AST) -> bool:
 
 def _function_params(
     node: ast.AST, is_method: bool
-) -> Tuple[List[str], List[str]]:
-    """Parameter names and unit names (skipping self/cls on methods)."""
+) -> Tuple[List[str], List[AbstractUnit]]:
+    """Parameter names and units (skipping self/cls on methods)."""
     arguments = node.args  # type: ignore[attr-defined]
     args = list(arguments.posonlyargs) + list(arguments.args)
     if is_method and args and args[0].arg in ("self", "cls"):
         args = args[1:]
     names: List[str] = []
-    units: List[str] = []
+    units: List[AbstractUnit] = []
     for arg in args:
         names.append(arg.arg)
         declared = _annotation_unit(arg.annotation)
         unit = declared if declared is not None else classify_name(arg.arg)
-        units.append(unit.name)
+        units.append(unit)
     return names, units
 
 
 def _iter_functions(
-    module: str, tree: ast.Module
+    tree: ast.Module,
 ) -> Iterator[Tuple[ast.AST, Optional[str]]]:
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _FUNCTION_DEFS):
             yield node, None
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
+                if isinstance(item, _FUNCTION_DEFS):
                     yield item, node.name
+
+
+def _import_time_statements(tree: ast.Module) -> List[ast.stmt]:
+    """What runs at import: the module body and the class bodies,
+    without the function and class definitions themselves."""
+    body: List[ast.stmt] = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            body.extend(
+                item
+                for item in node.body
+                if not isinstance(item, _FUNCTION_DEFS + (ast.ClassDef,))
+            )
+        elif not isinstance(node, _FUNCTION_DEFS):
+            body.append(node)
+    return body
 
 
 def extract_module(
     module: str,
-    path: str,
-    sha256: str,
     tree: ast.Module,
-    suppressed: SuppressionCheck = _never_suppressed,
+    suppressed: SuppressionCheck,
 ) -> ModuleSummary:
-    """Extract the cacheable local summary of one parsed module."""
+    """Extract the local facts of one parsed module."""
     symbols = build_symbols(module, tree)
-    summary = ModuleSummary(
-        module=module, path=path, sha256=sha256, symbols=symbols
-    )
-    for node, class_name in _iter_functions(module, tree):
+    summary = ModuleSummary(module=module, symbols=symbols)
+
+    def extract(facts: FunctionFacts, body: List[ast.stmt]) -> None:
+        _FunctionExtractor(facts, symbols, suppressed).run(body)
+        summary.functions[facts.qualname] = facts
+
+    for node, class_name in _iter_functions(tree):
         name = node.name  # type: ignore[attr-defined]
         qualname = (
             f"{module}.{class_name}.{name}"
@@ -855,9 +617,6 @@ def extract_module(
             else f"{module}.{name}"
         )
         params, units = _function_params(node, class_name is not None)
-        return_unit = _annotation_unit(
-            node.returns  # type: ignore[attr-defined]
-        )
         facts = FunctionFacts(
             qualname=qualname,
             name=name,
@@ -865,12 +624,16 @@ def extract_module(
             class_name=class_name,
             params=params,
             param_units=units,
-            return_annotation_unit=(
-                return_unit.name if return_unit is not None else None
+            return_annotation_unit=_annotation_unit(
+                node.returns  # type: ignore[attr-defined]
             ),
             is_generator=_is_generator(node),
         )
-        extractor = _FunctionExtractor(facts, symbols, suppressed)
-        extractor.run(node.body)  # type: ignore[attr-defined]
-        summary.functions[qualname] = facts
+        extract(facts, node.body)  # type: ignore[attr-defined]
+    extract(
+        FunctionFacts(
+            qualname=f"{module}.{MODULE_LEVEL}", name=MODULE_LEVEL, lineno=1
+        ),
+        _import_time_statements(tree),
+    )
     return summary

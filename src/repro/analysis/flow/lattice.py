@@ -22,8 +22,7 @@ On top of the unit kinds, function summaries carry two effect bits —
 "tainted by nondeterminism" and "mutates shared policy state" — that
 are propagated separately (see :mod:`repro.analysis.flow.summaries`).
 
-Symbolic expressions (``UExpr``) are JSON-serializable nested lists so
-per-module summaries round-trip through the on-disk cache:
+Symbolic expressions (``UExpr``) are small nested lists:
 
 * ``["k", "<UNIT>"]`` — a concrete unit constant;
 * ``["p", i]`` — the unit of parameter ``i`` of the enclosing function;
@@ -40,9 +39,9 @@ per-module summaries round-trip through the on-disk cache:
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List
 
-#: A serialized symbolic unit expression (see the module docstring).
+#: A symbolic unit expression (see the module docstring).
 UExpr = List[Any]
 
 
@@ -75,11 +74,7 @@ _MONEY_SUFFIXES = ("_usd", "_dollars", "_price")
 
 
 def classify_name(name: str) -> AbstractUnit:
-    """Unit implied by an identifier, by the repo's naming conventions.
-
-    The conventions are those RPR001 enforces per file, extended with
-    the yield and money kinds the interprocedural lattice adds.
-    """
+    """Unit implied by an identifier, by the repo's naming conventions."""
     name = name.lower().lstrip("_")
     if name in _WEIGHTED_EXACT or name.endswith(_WEIGHTED_SUFFIXES):
         return AbstractUnit.WEIGHTED
@@ -92,6 +87,29 @@ def classify_name(name: str) -> AbstractUnit:
     if name in _MONEY_EXACT or name.endswith(_MONEY_SUFFIXES):
         return AbstractUnit.MONEY
     return AbstractUnit.UNKNOWN
+
+
+#: Annotation names with a declared unit (the repro.core.units types).
+ANNOTATION_UNITS: Dict[str, AbstractUnit] = {
+    "RawBytes": AbstractUnit.RAW,
+    "AnyRawBytes": AbstractUnit.RAW,
+    "WeightedCost": AbstractUnit.WEIGHTED,
+    "AnyCost": AbstractUnit.WEIGHTED,
+    "Yield": AbstractUnit.YIELD,
+    "AnyYield": AbstractUnit.YIELD,
+}
+
+#: What a call returns when its callee is outside the analysed project
+#: (a lone file importing :mod:`repro.core.units`), by bare callee name:
+#: the unit types construct their own kind and the sanctioned
+#: converters produce their declared one.  Any other name falls back
+#: to :func:`classify_name`.
+CALL_RESULT_UNITS: Dict[str, AbstractUnit] = {
+    **ANNOTATION_UNITS,
+    "weigh": AbstractUnit.WEIGHTED,
+    "unweigh": AbstractUnit.YIELD,
+    "size_of": AbstractUnit.RAW,
+}
 
 
 def merge(left: AbstractUnit, right: AbstractUnit) -> AbstractUnit:
@@ -140,7 +158,7 @@ def divide(left: AbstractUnit, right: AbstractUnit) -> AbstractUnit:
     return AbstractUnit.UNKNOWN
 
 
-# -- UExpr constructors (kept together so serialization stays in sync) --
+# -- UExpr constructors ------------------------------------------------
 
 
 def u_const(unit: AbstractUnit) -> UExpr:
@@ -171,20 +189,3 @@ def u_merge(left: UExpr, right: UExpr) -> UExpr:
 
 def u_unknown() -> UExpr:
     return ["?"]
-
-
-UNKNOWN_EXPR: UExpr = ["?"]
-
-
-def const_unit(expr: UExpr) -> Optional[AbstractUnit]:
-    """The concrete unit of a ``["k", …]`` expression, else None."""
-    if expr and expr[0] == "k":
-        return AbstractUnit[str(expr[1])]
-    return None
-
-
-def describe_pair(
-    left: AbstractUnit, right: AbstractUnit
-) -> Tuple[str, str]:
-    """Human-readable value phrases for a mixed pair, left and right."""
-    return left.value, right.value

@@ -1,19 +1,18 @@
-"""Project loader: every module parsed once, hashed for the cache.
+"""Project loader: every module read once, parsed on first use.
 
-:func:`load_project` walks a package root (``src/repro`` in CI, a
-fixture mini-project in tests), reads every ``.py`` file, and yields
-:class:`ModuleInfo` records carrying the source, its SHA-256 (the
-summary-cache key), and a lazily-parsed AST — warm cache runs never
-pay for parses the summaries already cover.
+:func:`load_paths` turns the files and directories a lint run names
+(``src/repro`` in CI, a fixture mini-project or a lone file in tests)
+into :class:`ModuleInfo` records.  A module's dotted name comes from
+the ``__init__.py`` chain above it, so a file is called the same
+whether it is reached alone or through its package.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import AnalysisError
 
@@ -25,9 +24,21 @@ class ModuleInfo:
     name: str
     path: Path
     source: str
-    sha256: str
     lines: List[str] = field(default_factory=list)
     _tree: Optional[ast.Module] = field(default=None, repr=False)
+
+    @classmethod
+    def from_source(
+        cls, source: str, path: Path, root: Optional[Path] = None
+    ) -> "ModuleInfo":
+        """The module ``source`` would be if it were saved at ``path``."""
+        path = Path(path)
+        return cls(
+            name=module_name_for(root or path.parent, path),
+            path=path,
+            source=source,
+            lines=source.splitlines(),
+        )
 
     @property
     def tree(self) -> ast.Module:
@@ -36,58 +47,66 @@ class ModuleInfo:
             self._tree = ast.parse(self.source, filename=str(self.path))
         return self._tree
 
-    @property
-    def package(self) -> str:
-        """The root package this module belongs to."""
-        return self.name.split(".", 1)[0]
 
+def module_name_for(root: Path, path: Path) -> str:
+    """Dotted module name of ``path``.
 
-def module_name_for(root: Path, package: str, path: Path) -> str:
-    """Dotted module name of ``path`` relative to the project root."""
-    relative = path.relative_to(root)
-    parts = [package] + list(relative.parts)
-    stem = Path(parts[-1]).stem
-    if stem == "__init__":
-        parts = parts[:-1]
+    Inside a package (every directory up the chain holding an
+    ``__init__.py``) the name is the import name, whatever ``root``
+    the run started from.  A loose file is named by its path below
+    ``root``.
+    """
+    packages: List[str] = []
+    parent = path.parent
+    while (parent / "__init__.py").is_file():
+        packages.append(parent.name)
+        parent = parent.parent
+    if packages:
+        parts = packages[::-1] + [path.stem]
     else:
-        parts[-1] = stem
+        parts = list(path.relative_to(root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
     return ".".join(parts)
 
 
-def load_module(root: Path, package: str, path: Path) -> ModuleInfo:
-    """Read and hash one module (the AST stays unparsed until used)."""
-    source = path.read_text(encoding="utf-8")
-    return ModuleInfo(
-        name=module_name_for(root, package, path),
-        path=path,
-        source=source,
-        sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        lines=source.splitlines(),
-    )
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Expand files/directories into a sorted stream of ``.py`` files."""
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.suffix == ".py" and path.exists():
+            yield path
+        elif not path.exists():
+            raise AnalysisError(f"no such file or directory: {path}")
 
 
-def load_project(
-    root: Path, package: Optional[str] = None
-) -> Dict[str, ModuleInfo]:
-    """Load every ``.py`` module under ``root``, keyed by module name.
+def load_paths(paths: Iterable[Path]) -> Dict[str, ModuleInfo]:
+    """Load every ``.py`` file under ``paths``, keyed by module name.
 
-    ``package`` defaults to the root directory's name, so loading
-    ``src/repro`` produces ``repro.*`` modules and a fixture directory
-    ``unitsbad`` produces ``unitsbad.*`` modules.
+    All paths of one run form one project: a file named twice is
+    loaded once, and two different files claiming one module name are
+    an error (the call graph could not tell them apart).  So is finding
+    no module at all: a path that holds nothing to lint is a typo.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise AnalysisError(f"project root is not a directory: {root}")
-    package = package or root.name
+    paths = list(paths)
     modules: Dict[str, ModuleInfo] = {}
-    for path in sorted(root.rglob("*.py")):
-        info = load_module(root, package, path)
-        if info.name in modules:
-            raise AnalysisError(
-                f"duplicate module name {info.name!r}: "
-                f"{modules[info.name].path} vs {path}"
+    for root in paths:
+        root = Path(root)
+        base = root if root.is_dir() else root.parent
+        for path in iter_python_files([root]):
+            info = ModuleInfo.from_source(
+                path.read_text(encoding="utf-8"), path, base
             )
-        modules[info.name] = info
+            known = modules.setdefault(info.name, info)
+            if known.path.resolve() != path.resolve():
+                raise AnalysisError(
+                    f"duplicate module name {info.name!r}: "
+                    f"{known.path} vs {path}"
+                )
     if not modules:
-        raise AnalysisError(f"no python modules under {root}")
+        raise AnalysisError(
+            f"no python modules under {', '.join(map(str, paths))}"
+        )
     return modules

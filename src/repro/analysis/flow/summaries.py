@@ -19,17 +19,13 @@ the query API the project-aware lint rules consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow import contracts
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.extract import (
-    LOCAL_CALL_UNITS,
-    FunctionFacts,
-    ModuleSummary,
-)
+from repro.analysis.flow.extract import FunctionFacts, ModuleSummary
 from repro.analysis.flow.lattice import (
+    CALL_RESULT_UNITS,
     AbstractUnit,
     UExpr,
     classify_name,
@@ -106,30 +102,23 @@ def _owning_contract(
 class ProjectAnalysis:
     """Query surface over the call graph and function summaries."""
 
-    def __init__(
-        self,
-        root: Path,
-        summaries: Dict[str, ModuleSummary],
-        graph: Optional[CallGraph] = None,
-    ) -> None:
-        self.root = Path(root)
+    def __init__(self, summaries: Dict[str, ModuleSummary]) -> None:
         self.modules = summaries
-        self.graph = graph if graph is not None else CallGraph(summaries)
+        self.graph = CallGraph(summaries)
         #: (caller qualname, call-site index) -> callee qualname.
         self._callee: Dict[Tuple[str, int], str] = {}
         for caller, pairs in self.graph.edges.items():
             for site_index, callee in pairs:
                 self._callee[(caller, site_index)] = callee
-        self._path_to_module: Dict[str, str] = {
-            str(Path(summary.path).resolve()): name
-            for name, summary in summaries.items()
-        }
         self.summaries: Dict[str, FunctionSummary] = {
             qualname: FunctionSummary(qualname=qualname)
             for qualname in self.graph.functions
         }
-        #: Filled by :func:`repro.analysis.flow.analyze_project`.
-        self.stats: Dict[str, int] = {}
+        #: What ``repro-lint --stats`` prints about the run.
+        self.stats: Dict[str, int] = {
+            "modules": len(summaries),
+            "functions": len(self.graph.functions),
+        }
         self._run_fixpoint()
 
     # -- fixpoint --------------------------------------------------------
@@ -185,7 +174,7 @@ class ProjectAnalysis:
         self, qualname: str, facts: FunctionFacts
     ) -> AbstractUnit:
         if facts.return_annotation_unit is not None:
-            return AbstractUnit[facts.return_annotation_unit]
+            return facts.return_annotation_unit
         unit = AbstractUnit.UNKNOWN
         for expr in facts.returns:
             unit = merge(unit, self.eval_expr(qualname, expr))
@@ -215,9 +204,6 @@ class ProjectAnalysis:
         return best
 
     # -- query API -------------------------------------------------------
-
-    def module_for_path(self, path: Path) -> Optional[str]:
-        return self._path_to_module.get(str(Path(path).resolve()))
 
     def functions_in(self, module: str) -> List[FunctionFacts]:
         summary = self.modules.get(module)
@@ -251,8 +237,6 @@ class ProjectAnalysis:
         ref = resolve_dotted(summary.symbols, dotted)
         if ref[0] == "q":
             return self.graph.resolve_name(ref[1])
-        if ref[0] == "u":
-            return None
         return None
 
     def call_result_unit(
@@ -261,7 +245,7 @@ class ProjectAnalysis:
         """Abstract unit of a call site's result.
 
         Precedence: the resolved callee's computed summary, then the
-        per-file name heuristics RPR001 uses, then the naming
+        declared unit types and converters, then the naming
         conventions.
         """
         callee = self._callee.get((qualname, call_index))
@@ -271,10 +255,7 @@ class ProjectAnalysis:
                 return unit
         facts = self.graph.functions[qualname]
         name = facts.calls[call_index].ref[-1].rsplit(".", 1)[-1]
-        local = LOCAL_CALL_UNITS.get(name)
-        if local is not None:
-            return local
-        return classify_name(name)
+        return CALL_RESULT_UNITS.get(name) or classify_name(name)
 
     def eval_expr(
         self, qualname: str, expr: UExpr, depth: int = 0
@@ -365,14 +346,3 @@ class ProjectAnalysis:
             for facts in self.graph.functions.values()
             if facts.is_generator
         }
-
-    def relpath(self, module: str) -> str:
-        summary = self.modules.get(module)
-        if summary is None:
-            return module
-        try:
-            return Path(summary.path).resolve().relative_to(
-                self.root.resolve().parent
-            ).as_posix()
-        except ValueError:
-            return Path(summary.path).as_posix()

@@ -2,9 +2,8 @@
 
 Each module gets a :class:`ModuleSymbols` record mapping local names to
 what they denote — an import alias, a module-level function, or a class
-with its methods.  The tables are pure data (JSON round-trippable, so
-they live inside the cached module summaries) and are combined into a
-project-wide index by :mod:`repro.analysis.flow.summaries`.
+with its methods.  The tables are combined into a project-wide index
+by :mod:`repro.analysis.flow.callgraph`.
 
 Call references produced by the extractor are small tagged tuples:
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: A tagged call reference (see the module docstring).
 Ref = Tuple[str, ...]
@@ -36,25 +35,6 @@ class ClassSymbols:
     methods: Dict[str, int] = field(default_factory=dict)
     bases: List[str] = field(default_factory=list)
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "methods": self.methods,
-            "bases": self.bases,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ClassSymbols":
-        return cls(
-            name=str(payload["name"]),
-            lineno=int(payload["lineno"]),
-            methods={
-                str(k): int(v) for k, v in payload["methods"].items()
-            },
-            bases=[str(b) for b in payload["bases"]],
-        )
-
 
 @dataclass
 class ModuleSymbols:
@@ -68,33 +48,6 @@ class ModuleSymbols:
     functions: Dict[str, int] = field(default_factory=dict)
     #: class name -> class symbols.
     classes: Dict[str, ClassSymbols] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "imports": self.imports,
-            "functions": self.functions,
-            "classes": {
-                name: sym.to_json()
-                for name, sym in self.classes.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleSymbols":
-        return cls(
-            module=str(payload["module"]),
-            imports={
-                str(k): str(v) for k, v in payload["imports"].items()
-            },
-            functions={
-                str(k): int(v) for k, v in payload["functions"].items()
-            },
-            classes={
-                str(name): ClassSymbols.from_json(sym)
-                for name, sym in payload["classes"].items()
-            },
-        )
 
 
 def _resolve_relative(module: str, level: int, target: str) -> str:

@@ -12,10 +12,8 @@ from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
     Rule,
-    iter_python_files,
-    lint_file,
+    lint_modules,
     lint_paths,
-    lint_source,
     register_rule,
 )
 
@@ -24,9 +22,7 @@ __all__ = [
     "FileContext",
     "LintViolation",
     "Rule",
-    "iter_python_files",
-    "lint_file",
+    "lint_modules",
     "lint_paths",
-    "lint_source",
     "register_rule",
 ]

@@ -1,16 +1,10 @@
 """Command-line front end for ``repro-lint``.
 
-Two modes share one rule registry:
-
-* **per-file** (default): ``repro-lint src/repro`` lints each file in
-  isolation — fast, no cross-module knowledge, the seven per-file
-  rules;
-* **project** (``--project ROOT``): loads the whole package once,
-  builds the call graph and function summaries, and runs *every* rule
-  with project context — the interprocedural rules (RPR008–RPR010)
-  come alive and the per-file rules sharpen through callee summaries.
-  ``--cache FILE`` keeps per-module summaries keyed by content hash,
-  so warm runs only re-extract edited files.
+``repro-lint PATH...`` loads every ``.py`` file under the paths (files
+or directories; ``src/repro`` in CI) as one project, builds the call
+graph and function summaries, and runs every rule with that analysis
+in hand.  There is no per-file mode: a lone file is a one-module
+project.
 
 Exit codes follow the usual linter convention:
 
@@ -30,7 +24,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.lint.engine import (
     RULE_REGISTRY,
@@ -38,7 +32,6 @@ from repro.analysis.lint.engine import (
     apply_baseline,
     baseline_payload,
     lint_paths,
-    lint_project,
     load_baseline,
 )
 from repro.errors import AnalysisError
@@ -57,15 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint per-file (default: src)",
-    )
-    parser.add_argument(
-        "--project",
-        metavar="ROOT",
-        type=Path,
         help=(
-            "lint a package root with whole-project semantics (call "
-            "graph + summaries; enables RPR008-RPR010)"
+            "files or directories to lint, analysed together as one "
+            "project (default: src)"
         ),
     )
     parser.add_argument(
@@ -99,15 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "rewrite --baseline FILE with the current findings and "
             "exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        type=Path,
-        help=(
-            "project mode: per-module summary cache keyed by file "
-            "hash (warm runs skip unchanged files)"
         ),
     )
     parser.add_argument(
@@ -174,7 +152,7 @@ def _emit_text(
 def _emit_json(
     violations: Sequence[LintViolation],
     baselined: int,
-    stats: Optional[dict],
+    stats: Dict[str, object],
 ) -> None:
     document = {
         "violations": [
@@ -189,9 +167,8 @@ def _emit_json(
         ],
         "count": len(violations),
         "baselined": baselined,
+        "stats": stats,
     }
-    if stats is not None:
-        document["stats"] = stats
     print(json.dumps(document, indent=2, sort_keys=True))
 
 
@@ -223,32 +200,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if options.project is not None and options.paths:
-        print(
-            "repro-lint: error: pass either paths or --project, "
-            "not both",
-            file=sys.stderr,
-        )
-        return 2
 
     select = _rule_list(options.select)
     ignore = _rule_list(options.ignore) or []
 
     started = time.perf_counter()
-    stats: Optional[dict] = None
     try:
         ignored = _validate_ignore(ignore)
-        if options.project is not None:
-            violations, analysis = lint_project(
-                options.project,
-                select=select,
-                cache_path=options.cache,
-            )
-            if analysis is not None:
-                stats = dict(analysis.stats)
-        else:
-            paths: List[Path] = options.paths or [Path("src")]
-            violations = lint_paths(paths, select=select)
+        violations, analysis = lint_paths(
+            options.paths or [Path("src")], select=select
+        )
         if ignored:
             violations = [
                 v for v in violations if v.rule_id not in ignored
@@ -263,10 +224,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    if stats is not None:
-        stats["elapsed_seconds"] = round(
-            time.perf_counter() - started, 3
-        )
+    stats: Dict[str, object] = {
+        **analysis.stats,
+        "elapsed_seconds": round(time.perf_counter() - started, 3),
+    }
 
     if options.update_baseline:
         assert options.baseline is not None
@@ -282,7 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0
 
-    if options.stats and stats is not None:
+    if options.stats:
         print(f"repro-lint: stats: {stats}", file=sys.stderr)
 
     if options.format == "json":

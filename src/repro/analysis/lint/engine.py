@@ -20,9 +20,17 @@ declare it once with a **file pragma** on a standalone comment line::
     # repro-lint: allow-file[RPR002] manifests stamp metadata, not replays
 
 Unlike the line pragma, ``allow-file`` *requires* an explicit rule list —
-there is no spelling that exempts a whole module from every rule.  The
-engine only parses files — fixture corpora with deliberate violations
-are safe to lint because nothing is executed.
+there is no spelling that exempts a whole module from every rule.  A
+pragma naming an id that is not a registered rule suppresses nothing
+and is itself reported (``RPR000``), so a stale id cannot rot in place.
+
+There is one pass: :func:`lint_modules` analyses the loaded modules as
+one project (call graph + function summaries, see
+:mod:`repro.analysis.flow`) and runs every rule on every module with
+that analysis in hand.  A lone file, or a source string in a test, is a
+one-module project.  The engine only parses files — fixture corpora
+with deliberate violations are safe to lint because nothing is
+executed.
 """
 
 from __future__ import annotations
@@ -31,10 +39,9 @@ import abc
 import ast
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -47,10 +54,9 @@ from typing import (
     Type,
 )
 
+from repro.analysis.flow import ProjectAnalysis, analyze_modules
+from repro.analysis.flow.loader import ModuleInfo, load_paths
 from repro.errors import AnalysisError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.flow.summaries import ProjectAnalysis
 
 #: Pragma grammar: ``# repro-lint: allow[RPR001]`` or ``# repro-lint: allow``.
 _PRAGMA = re.compile(
@@ -64,6 +70,12 @@ _FILE_PRAGMA = re.compile(
 )
 
 
+def _pragma_ids(match: "re.Match[str]") -> List[str]:
+    """The rule ids a pragma match lists (none for a bare ``allow``)."""
+    rules = match.group("rules") or ""
+    return [part.strip() for part in rules.split(",") if part.strip()]
+
+
 def file_allowed_rules(lines: Sequence[str]) -> frozenset:
     """Rule ids exempted for the whole module via ``allow-file`` pragmas.
 
@@ -74,11 +86,7 @@ def file_allowed_rules(lines: Sequence[str]) -> frozenset:
     for line in lines:
         match = _FILE_PRAGMA.match(line)
         if match is not None:
-            allowed.update(
-                part.strip()
-                for part in match.group("rules").split(",")
-                if part.strip()
-            )
+            allowed.update(_pragma_ids(match))
     return frozenset(allowed)
 
 
@@ -88,17 +96,13 @@ def line_allows(
     """Whether a line pragma on ``line`` (1-based) silences ``rule_id``.
 
     Every pragma on the line is consulted, so two suppressions can sit
-    on one line (``# repro-lint: allow[RPR001] … allow[RPR008] …``) and
-    comma lists work in either spelling (``allow[RPR001,RPR008]``).
+    on one line (``# repro-lint: allow[RPR001] … allow[RPR004] …``) and
+    comma lists work in either spelling (``allow[RPR001,RPR004]``).
     """
     if not 1 <= line <= len(lines):
         return False
     for match in _PRAGMA.finditer(lines[line - 1]):
-        rules = match.group("rules")
-        if rules is None:
-            return True
-        allowed = {part.strip() for part in rules.split(",")}
-        if rule_id in allowed:
+        if match.group("rules") is None or rule_id in _pragma_ids(match):
             return True
     return False
 
@@ -128,13 +132,11 @@ class FileContext:
     path: Path
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-    #: Whole-project semantics when linting in ``--project`` mode;
-    #: None on single-file runs (project rules then stay silent and
-    #: per-file rules fall back to local inference).
-    project: Optional["ProjectAnalysis"] = None
-    #: Dotted module name within the analyzed project, if any.
-    module: Optional[str] = None
+    lines: List[str]
+    #: The analysis of the project this module was linted in.
+    project: ProjectAnalysis
+    #: Dotted module name within that project.
+    module: str
 
     @property
     def posix(self) -> str:
@@ -221,10 +223,6 @@ def _load_rules(select: Optional[Sequence[str]]) -> List[Rule]:
     return [RULE_REGISTRY[rule_id]() for rule_id in chosen]
 
 
-def _suppressed(violation: LintViolation, lines: List[str]) -> bool:
-    return line_allows(lines, violation.line, violation.rule_id)
-
-
 def _syntax_violation(path: Path, exc: SyntaxError) -> LintViolation:
     return LintViolation(
         rule_id="RPR000",
@@ -235,116 +233,72 @@ def _syntax_violation(path: Path, exc: SyntaxError) -> LintViolation:
     )
 
 
+def _unknown_pragma_ids(context: FileContext) -> Iterator[LintViolation]:
+    """``RPR000`` for every pragma id that names no registered rule."""
+    for number, line in enumerate(context.lines, start=1):
+        if "repro-lint:" not in line:
+            continue
+        matches = list(_PRAGMA.finditer(line))
+        file_match = _FILE_PRAGMA.match(line)
+        if file_match is not None:
+            matches.append(file_match)
+        for match in matches:
+            for rule_id in _pragma_ids(match):
+                if rule_id not in RULE_REGISTRY:
+                    yield LintViolation(
+                        rule_id="RPR000",
+                        path=str(context.path),
+                        line=number,
+                        col=match.start(),
+                        message=(
+                            f"pragma names unknown rule {rule_id!r} and "
+                            f"suppresses nothing; known: "
+                            f"{', '.join(sorted(RULE_REGISTRY))}"
+                        ),
+                    )
+
+
 def _check_context(
     context: FileContext, rules: Sequence[Rule]
 ) -> List[LintViolation]:
     file_allowed = file_allowed_rules(context.lines)
-    violations: List[LintViolation] = []
+    violations = list(_unknown_pragma_ids(context))
     for rule in rules:
         if rule.rule_id in file_allowed:
             continue
         if not rule.applies_to(context):
             continue
         for violation in rule.check(context):
-            if not _suppressed(violation, context.lines):
+            if not line_allows(
+                context.lines, violation.line, violation.rule_id
+            ):
                 violations.append(violation)
     return violations
 
 
-def lint_source(
-    source: str,
-    path: Path,
+def lint_modules(
+    modules: Dict[str, ModuleInfo],
     select: Optional[Sequence[str]] = None,
-) -> List[LintViolation]:
-    """Lint one module given its source text."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [_syntax_violation(path, exc)]
-    context = FileContext(
-        path=path,
-        source=source,
-        tree=tree,
-        lines=source.splitlines(),
-    )
-    violations = _check_context(context, _load_rules(select))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations
+) -> Tuple[List[LintViolation], ProjectAnalysis]:
+    """Lint loaded modules as one project: the engine's one entry.
 
-
-def lint_file(
-    path: Path, select: Optional[Sequence[str]] = None
-) -> List[LintViolation]:
-    """Lint one ``.py`` file."""
-    source = Path(path).read_text(encoding="utf-8")
-    return lint_source(source, Path(path), select)
-
-
-def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Expand files/directories into a sorted stream of ``.py`` files."""
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
-        elif not path.exists():
-            raise AnalysisError(f"no such file or directory: {path}")
-
-
-def lint_paths(
-    paths: Iterable[Path], select: Optional[Sequence[str]] = None
-) -> List[LintViolation]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    violations: List[LintViolation] = []
-    for file_path in iter_python_files(paths):
-        violations.extend(lint_file(file_path, select))
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Project-context phase
-# ---------------------------------------------------------------------------
-
-
-def lint_project(
-    root: Path,
-    select: Optional[Sequence[str]] = None,
-    cache_path: Optional[Path] = None,
-) -> Tuple[List[LintViolation], Optional["ProjectAnalysis"]]:
-    """Lint a package root with whole-project semantics.
-
-    Every module is loaded once; modules that parse feed the
-    interprocedural analysis (call graph + summaries), then every rule
-    runs per file with :attr:`FileContext.project` populated — the
-    project rules (RPR008–RPR010) come alive and the per-file rules
-    sharpen their inference through callee summaries.  Modules that do
-    not parse surface as ``RPR000`` and are excluded from the graph.
+    Modules that parse feed the interprocedural analysis, then every
+    selected rule runs on each of them with that analysis as
+    :attr:`FileContext.project`.  Modules that do not parse surface as
+    ``RPR000`` and stay out of the call graph.
     """
-    from repro.analysis import flow
-    from repro.analysis.flow.loader import load_project
-
-    modules = load_project(Path(root))
+    rules = _load_rules(select)
     violations: List[LintViolation] = []
-    parsed = {}
-    for name in sorted(modules):
-        info = modules[name]
+    parsed: Dict[str, ModuleInfo] = {}
+    for name, info in sorted(modules.items()):
         try:
             info.tree
         except SyntaxError as exc:
             violations.append(_syntax_violation(info.path, exc))
-            continue
-        parsed[name] = info
-
-    analysis: Optional["ProjectAnalysis"] = None
-    if parsed:
-        analysis = flow.analyze_project(
-            Path(root), cache_path=cache_path, modules=parsed
-        )
-
-    rules = _load_rules(select)
-    for name in sorted(parsed):
-        info = parsed[name]
+        else:
+            parsed[name] = info
+    analysis = analyze_modules(parsed)
+    for name, info in parsed.items():
         context = FileContext(
             path=info.path,
             source=info.source,
@@ -356,6 +310,13 @@ def lint_project(
         violations.extend(_check_context(context, rules))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return violations, analysis
+
+
+def lint_paths(
+    paths: Iterable[Path], select: Optional[Sequence[str]] = None
+) -> Tuple[List[LintViolation], ProjectAnalysis]:
+    """:func:`lint_modules` over every ``.py`` file under ``paths``."""
+    return lint_modules(load_paths(paths), select)
 
 
 # ---------------------------------------------------------------------------

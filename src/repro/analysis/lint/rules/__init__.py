@@ -1,4 +1,4 @@
-"""Built-in ``repro-lint`` rules.
+"""Built-in ``repro-lint`` rules, one per property.
 
 Importing this package registers every rule module below into
 :data:`repro.analysis.lint.engine.RULE_REGISTRY`; third-party rules
@@ -11,13 +11,10 @@ from repro.analysis.lint.rules import (  # noqa: F401
     rpr001_units,
     rpr002_determinism,
     rpr003_policies,
-    rpr004_accounting,
+    rpr004_shared_state,
     rpr005_scans,
     rpr006_swallowed,
     rpr007_streaming,
-    rpr008_interunits,
-    rpr009_nondet_reach,
-    rpr010_shared_state,
     rpr011_lock_discipline,
 )
 
@@ -25,12 +22,9 @@ __all__ = [
     "rpr001_units",
     "rpr002_determinism",
     "rpr003_policies",
-    "rpr004_accounting",
+    "rpr004_shared_state",
     "rpr005_scans",
     "rpr006_swallowed",
     "rpr007_streaming",
-    "rpr008_interunits",
-    "rpr009_nondet_reach",
-    "rpr010_shared_state",
     "rpr011_lock_discipline",
 ]

@@ -7,44 +7,40 @@ conversion is exactly the PR-1 proxy bug: link-weighted fetch costs
 paired with raw-byte yields invert BYHR cache preference on weighted
 links while every test stays green.
 
-The rule runs a lightweight, name-and-flow-based unit inference over
-each function:
+Units come from the flow facts (:mod:`repro.analysis.flow`): names and
+attributes carry the unit their spelling implies (``*_bytes``/``size``
+raw, ``*_cost`` weighted, ``*_weight`` a link weight), ``RawBytes`` /
+``WeightedCost`` / ``Yield`` annotations declare theirs, assignments
+propagate, branches merge, bytes × weight = cost and cost / bytes =
+weight are the sanctioned conversion shapes, and a call returns what
+its callee's summary says it returns — so a ``WeightedCost`` produced
+three helpers away is still a weighted cost here.
 
-* names/attributes ending in ``_bytes``/``_size`` (or ``size``,
-  ``num_bytes``, ``byte_size``…) carry **raw bytes**;
-* names/attributes ending in ``_cost`` (or ``cost``, ``wan_cost``…)
-  carry **weighted cost**;
-* names ending in ``_weight`` (or ``weight``/``weights``) carry a
-  per-byte **link weight**;
-* calls to the sanctioned converters :func:`repro.core.units.weigh` /
-  :func:`~repro.core.units.unweigh` (and the ``RawBytes`` /
-  ``WeightedCost`` / ``Yield`` constructors) produce their declared
-  unit, as do metadata accessors such as ``.fetch_cost(…)`` /
-  ``.size(…)`` / ``.cost(…)``;
-* assignments propagate inferred units to local names, with branch
-  merging (a name assigned different units in the two arms of an
-  ``if`` becomes unknown);
-* multiplying raw bytes by a link weight yields weighted cost, and
-  dividing a cost by bytes (or a weight) converts back — those are the
-  sanctioned *shapes* of conversion arithmetic.
+Three constructs are flagged, in one function or through any helper
+chain:
 
-Two constructs are flagged:
-
-1. ``Add``/``Sub``/comparison (and the augmented forms) where one
-   operand infers to raw bytes and the other to weighted cost;
-2. a call that passes both a ``fetch_cost=`` and a ``yield_bytes=``
-   keyword where the fetch cost is weighted but the yield is not (or
-   vice versa) — the two must be quoted in the same currency for a
-   policy's load-vs-savings comparison to make sense.  This is the
-   AST shape of the PR-1 bug.
+1. ``Add``/``Sub``/comparison (and the augmented forms) whose operands
+   are in different currencies;
+2. an argument whose unit conflicts with the unit the callee's
+   parameter declares;
+3. a call that passes both ``fetch_cost=`` and ``yield_bytes=`` in
+   different currencies — a weighted fetch cost next to a yield that is
+   not weighted (or a raw one next to a weighted yield).  The two must
+   be quoted in the same currency for a policy's load-vs-savings
+   comparison to make sense; this is the AST shape of the PR-1 bug.
 """
 
 from __future__ import annotations
 
-import ast
-import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
+from repro.analysis.flow.extract import FunctionFacts
+from repro.analysis.flow.lattice import (
+    RAW_LIKE,
+    AbstractUnit,
+    UExpr,
+    mixes,
+)
 from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
@@ -53,340 +49,106 @@ from repro.analysis.lint.engine import (
 )
 
 
-class Unit(enum.Enum):
-    RAW = "raw bytes"
-    WEIGHTED = "weighted cost"
-    WEIGHT = "link weight"
-    UNKNOWN = "unknown"
-
-
-_RAW_EXACT = {
-    "size", "sizes", "num_bytes", "byte_size", "nbytes", "capacity",
-}
-_RAW_SUFFIXES = ("_bytes", "_size", "_sizes")
-_WEIGHTED_EXACT = {"cost", "costs"}
-_WEIGHTED_SUFFIXES = ("_cost", "_costs")
-_WEIGHT_EXACT = {"weight", "weights"}
-_WEIGHT_SUFFIXES = ("_weight", "_weights")
-
-#: Converter / constructor calls with a declared result unit.
-_CALL_UNITS = {
-    "weigh": Unit.WEIGHTED,
-    "unweigh": Unit.RAW,
-    "RawBytes": Unit.RAW,
-    "raw_bytes": Unit.RAW,
-    "WeightedCost": Unit.WEIGHTED,
-    "Yield": Unit.RAW,
-    "per_byte_weight": Unit.WEIGHT,
-}
-
-#: Method names whose *call* result has a known unit (metadata
-#: accessors on catalogs, federations, and network models).
-_METHOD_UNITS = {
-    "fetch_cost": Unit.WEIGHTED,
-    "cost": Unit.WEIGHTED,
-    "size": Unit.RAW,
-    "size_of": Unit.RAW,
-    "object_size": Unit.RAW,
-}
-
-#: Builtins transparent to units (result unit = merged argument units).
-_TRANSPARENT_CALLS = {"float", "int", "abs", "round", "max", "min", "sum"}
-
-
-def classify_name(name: str) -> Unit:
-    """Unit implied by an identifier, by naming convention."""
-    name = name.lower().lstrip("_")
-    if name in _WEIGHTED_EXACT or name.endswith(_WEIGHTED_SUFFIXES):
-        return Unit.WEIGHTED
-    if name in _RAW_EXACT or name.endswith(_RAW_SUFFIXES):
-        return Unit.RAW
-    if name in _WEIGHT_EXACT or name.endswith(_WEIGHT_SUFFIXES):
-        return Unit.WEIGHT
-    return Unit.UNKNOWN
-
-
-def _merge(left: Unit, right: Unit) -> Unit:
-    if left is right:
-        return left
-    if left is Unit.UNKNOWN:
-        return right
-    if right is Unit.UNKNOWN:
-        return left
-    return Unit.UNKNOWN
-
-
-class _FunctionChecker:
-    """Infers units through one function body, collecting violations."""
-
-    def __init__(self, rule: "UnitMixingRule", context: FileContext) -> None:
-        self.rule = rule
-        self.context = context
-        self.env: Dict[str, Unit] = {}
-        self.violations: List[LintViolation] = []
-
-    # -- expression inference -------------------------------------------
-
-    def infer(self, node: Optional[ast.AST]) -> Unit:
-        if node is None:
-            return Unit.UNKNOWN
-        if isinstance(node, ast.Name):
-            known = self.env.get(node.id)
-            return known if known is not None else classify_name(node.id)
-        if isinstance(node, ast.Attribute):
-            return classify_name(node.attr)
-        if isinstance(node, ast.Call):
-            return self._infer_call(node)
-        if isinstance(node, ast.BinOp):
-            return self._infer_binop(node)
-        if isinstance(node, ast.UnaryOp):
-            return self.infer(node.operand)
-        if isinstance(node, ast.IfExp):
-            body = self.infer(node.body)
-            orelse = self.infer(node.orelse)
-            return body if body is orelse else Unit.UNKNOWN
-        if isinstance(node, ast.Compare):
-            self._check_compare(node)
-            return Unit.UNKNOWN
-        if isinstance(node, ast.NamedExpr):
-            unit = self.infer(node.value)
-            self.env[node.target.id] = unit
-            return unit
-        return Unit.UNKNOWN
-
-    def _infer_call(self, node: ast.Call) -> Unit:
-        func = node.func
-        if isinstance(func, ast.Name):
-            declared = _CALL_UNITS.get(func.id)
-            if declared is not None:
-                return declared
-            if func.id in _TRANSPARENT_CALLS:
-                unit = Unit.UNKNOWN
-                for arg in node.args:
-                    unit = _merge(unit, self.infer(arg))
-                return unit
-        if isinstance(func, ast.Attribute):
-            declared = _METHOD_UNITS.get(func.attr)
-            if declared is not None:
-                return declared
-        return Unit.UNKNOWN
-
-    def _infer_binop(self, node: ast.BinOp) -> Unit:
-        left = self.infer(node.left)
-        right = self.infer(node.right)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_mix(node, left, right, "combined")
-            return _merge(left, right)
-        if isinstance(node.op, ast.Mult):
-            if {left, right} == {Unit.RAW, Unit.WEIGHT}:
-                return Unit.WEIGHTED  # bytes × weight = cost
-            return _merge(left, right)
-        if isinstance(node.op, ast.Div):
-            if left is Unit.WEIGHTED and right is Unit.RAW:
-                return Unit.WEIGHT  # cost / bytes = per-byte weight
-            if left is Unit.WEIGHTED and right is Unit.WEIGHT:
-                return Unit.RAW  # cost / weight = bytes
-            if left is right:
-                return Unit.UNKNOWN  # same-unit ratio is dimensionless
-            return left if right is Unit.UNKNOWN else Unit.UNKNOWN
-        return Unit.UNKNOWN
-
-    # -- violation checks -----------------------------------------------
-
-    def _check_mix(
-        self, node: ast.AST, left: Unit, right: Unit, verb: str
-    ) -> None:
-        if {left, right} == {Unit.RAW, Unit.WEIGHTED}:
-            self.violations.append(
-                self.rule.violation(
-                    self.context,
-                    node,
-                    f"raw-byte and weighted-cost expressions {verb} "
-                    f"without an explicit weigh()/unweigh() conversion",
-                )
-            )
-
-    def _check_compare(self, node: ast.Compare) -> None:
-        units = [self.infer(node.left)]
-        units.extend(self.infer(comparator) for comparator in node.comparators)
-        for index in range(len(units) - 1):
-            self._check_mix(node, units[index], units[index + 1], "compared")
-
-    def _check_call_pairing(self, node: ast.Call) -> None:
-        kwargs = {
-            keyword.arg: keyword.value
-            for keyword in node.keywords
-            if keyword.arg is not None
-        }
-        if "fetch_cost" not in kwargs or "yield_bytes" not in kwargs:
-            return
-        cost_unit = self.infer(kwargs["fetch_cost"])
-        yield_unit = self.infer(kwargs["yield_bytes"])
-        mismatched = (
-            cost_unit is Unit.WEIGHTED and yield_unit is not Unit.WEIGHTED
-        ) or (cost_unit is Unit.RAW and yield_unit is Unit.WEIGHTED)
-        if mismatched:
-            self.violations.append(
-                self.rule.violation(
-                    self.context,
-                    node,
-                    f"fetch_cost= is {cost_unit.value} but yield_bytes= "
-                    f"is {yield_unit.value}; quote both in the same "
-                    f"currency (weigh() the yield for the cost view)",
-                )
-            )
-
-    # -- statement walk --------------------------------------------------
-
-    def run(self, body: List[ast.stmt]) -> None:
-        self._walk(body)
-
-    def _walk(self, body: List[ast.stmt]) -> None:
-        for statement in body:
-            self._statement(statement)
-
-    def _statement(self, statement: ast.stmt) -> None:
-        for call in _calls_in(statement):
-            self._check_call_pairing(call)
-        if isinstance(statement, ast.Assign):
-            unit = self.infer(statement.value)
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    self.env[target.id] = unit
-        elif isinstance(statement, ast.AnnAssign):
-            unit = self._annotation_unit(statement.annotation)
-            if unit is Unit.UNKNOWN and statement.value is not None:
-                unit = self.infer(statement.value)
-            if isinstance(statement.target, ast.Name):
-                self.env[statement.target.id] = unit
-        elif isinstance(statement, ast.AugAssign):
-            target_unit = self.infer(statement.target)
-            value_unit = self.infer(statement.value)
-            if isinstance(statement.op, (ast.Add, ast.Sub)):
-                self._check_mix(
-                    statement, target_unit, value_unit, "combined"
-                )
-            if isinstance(statement.target, ast.Name):
-                self.env[statement.target.id] = _merge(
-                    target_unit, value_unit
-                )
-        elif isinstance(statement, ast.If):
-            self._branch(statement.body, statement.orelse)
-            self.infer(statement.test)
-        elif isinstance(statement, (ast.For, ast.AsyncFor, ast.While)):
-            if isinstance(statement, ast.While):
-                self.infer(statement.test)
-            self._walk(statement.body)
-            self._walk(statement.orelse)
-        elif isinstance(statement, (ast.With, ast.AsyncWith)):
-            self._walk(statement.body)
-        elif isinstance(statement, ast.Try):
-            self._walk(statement.body)
-            for handler in statement.handlers:
-                self._walk(handler.body)
-            self._walk(statement.orelse)
-            self._walk(statement.finalbody)
-        elif isinstance(statement, (ast.Return, ast.Expr)):
-            self.infer(statement.value)
-        elif isinstance(statement, ast.Assert):
-            self.infer(statement.test)
-
-    def _branch(
-        self, body: List[ast.stmt], orelse: List[ast.stmt]
-    ) -> None:
-        baseline = dict(self.env)
-        self._walk(body)
-        after_body = self.env
-        self.env = dict(baseline)
-        self._walk(orelse)
-        after_orelse = self.env
-        merged: Dict[str, Unit] = {}
-        for name in set(after_body) | set(after_orelse):
-            left = after_body.get(name, Unit.UNKNOWN)
-            right = after_orelse.get(name, Unit.UNKNOWN)
-            merged[name] = left if left is right else Unit.UNKNOWN
-        self.env = merged
-
-    @staticmethod
-    def _annotation_unit(annotation: ast.expr) -> Unit:
-        if isinstance(annotation, ast.Name):
-            return _CALL_UNITS.get(annotation.id, Unit.UNKNOWN)
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            return _CALL_UNITS.get(annotation.value, Unit.UNKNOWN)
-        return Unit.UNKNOWN
-
-
-def _calls_in(statement: ast.stmt) -> Iterator[ast.Call]:
-    """Calls in the statement's own expressions (not nested bodies)."""
-    nested: Tuple[type, ...] = (
-        ast.FunctionDef,
-        ast.AsyncFunctionDef,
-        ast.ClassDef,
-    )
-    compound_bodies = isinstance(
-        statement,
-        (
-            ast.If, ast.For, ast.AsyncFor, ast.While, ast.With,
-            ast.AsyncWith, ast.Try,
-        ),
-    )
-    if compound_bodies:
-        # Bodies are walked statement-by-statement elsewhere; only scan
-        # the header expressions (test/iter/items) here.
-        headers: List[ast.AST] = []
-        if isinstance(statement, (ast.If, ast.While)):
-            headers.append(statement.test)
-        elif isinstance(statement, (ast.For, ast.AsyncFor)):
-            headers.extend((statement.target, statement.iter))
-        elif isinstance(statement, (ast.With, ast.AsyncWith)):
-            headers.extend(item.context_expr for item in statement.items)
-        for header in headers:
-            for node in ast.walk(header):
-                if isinstance(node, ast.Call):
-                    yield node
-        return
-    if isinstance(statement, nested):
-        return
-    for node in ast.walk(statement):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 @register_rule
 class UnitMixingRule(Rule):
     """Flag raw-byte / weighted-cost arithmetic without conversion."""
 
     rule_id = "RPR001"
     summary = (
-        "raw-byte and weighted-cost expressions combined without an "
-        "explicit weigh()/unweigh() conversion"
+        "raw-byte and weighted-cost values must not mix — in one "
+        "function or through a helper chain — without an explicit "
+        "weigh()/unweigh() conversion"
     )
 
     def check(self, context: FileContext) -> Iterator[LintViolation]:
-        for scope in self._scopes(context.tree):
-            checker = _FunctionChecker(self, context)
-            checker.run(scope)
-            yield from checker.violations
+        for facts in context.project.functions_in(context.module):
+            yield from self._check_mix_sites(context, facts)
+            yield from self._check_pair_sites(context, facts)
+            yield from self._check_arguments(context, facts)
 
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[List[ast.stmt]]:
-        """Module body, class bodies, and every function body."""
+    def _check_mix_sites(
+        self, context: FileContext, facts: FunctionFacts
+    ) -> Iterator[LintViolation]:
+        project = context.project
+        for mix in facts.mixes:
+            left = project.eval_expr(facts.qualname, mix.left)
+            right = project.eval_expr(facts.qualname, mix.right)
+            if not mixes(left, right):
+                continue
+            via = project.unit_provenance(
+                facts.qualname, mix.left
+            ) or project.unit_provenance(facts.qualname, mix.right)
+            chain = f" (unit established by {via})" if via else ""
+            yield LintViolation(
+                rule_id=self.rule_id,
+                path=str(context.path),
+                line=mix.line,
+                col=mix.col,
+                message=(
+                    f"{left.value} {mix.verb} with {right.value}"
+                    f"{chain}; convert with weigh()/unweigh() first"
+                ),
+            )
 
-        def top_level(body: List[ast.stmt]) -> List[ast.stmt]:
-            return [
-                statement
-                for statement in body
-                if not isinstance(
-                    statement,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+    def _check_pair_sites(
+        self, context: FileContext, facts: FunctionFacts
+    ) -> Iterator[LintViolation]:
+        project = context.project
+        for pair in facts.pairs:
+            cost = project.eval_expr(facts.qualname, pair.cost)
+            yield_unit = project.eval_expr(
+                facts.qualname, pair.yield_bytes
+            )
+            mismatched = (
+                cost is AbstractUnit.WEIGHTED
+                and yield_unit is not AbstractUnit.WEIGHTED
+            ) or (
+                cost in RAW_LIKE and yield_unit is AbstractUnit.WEIGHTED
+            )
+            if not mismatched:
+                continue
+            yield LintViolation(
+                rule_id=self.rule_id,
+                path=str(context.path),
+                line=pair.line,
+                col=pair.col,
+                message=(
+                    f"fetch_cost= is {cost.value} but yield_bytes= is "
+                    f"{yield_unit.value}; quote both in the same "
+                    f"currency (weigh() the yield for the cost view)"
+                ),
+            )
+
+    def _check_arguments(
+        self, context: FileContext, facts: FunctionFacts
+    ) -> Iterator[LintViolation]:
+        project = context.project
+        for index, site in enumerate(facts.calls):
+            callee = project.callee_of(facts.qualname, index)
+            if callee is None:
+                continue
+            callee_facts = project.graph.functions[callee]
+            bindings: List[Tuple[int, UExpr]] = list(enumerate(site.args))
+            for keyword, expr in sorted(site.kwargs.items()):
+                position = callee_facts.param_index(keyword)
+                if position is not None:
+                    bindings.append((position, expr))
+            for position, expr in bindings:
+                if position >= len(callee_facts.params):
+                    continue
+                expected = callee_facts.param_unit(position)
+                actual = project.eval_expr(facts.qualname, expr)
+                if not mixes(actual, expected):
+                    continue
+                yield LintViolation(
+                    rule_id=self.rule_id,
+                    path=str(context.path),
+                    line=site.line,
+                    col=site.col,
+                    message=(
+                        f"argument for parameter "
+                        f"{callee_facts.params[position]!r} of {callee} "
+                        f"carries {actual.value} but the parameter "
+                        f"expects {expected.value}"
+                    ),
                 )
-            ]
-
-        yield top_level(tree.body)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.body
-            elif isinstance(node, ast.ClassDef):
-                yield top_level(node.body)

@@ -1,16 +1,19 @@
-"""RPR002 — nondeterminism in simulator/core hot paths.
+"""RPR002 — nondeterminism in replay-critical code, direct or reached.
 
 ``run_sweep``/``compare_policies``/``simulate_fleet`` guarantee that
 ``parallel=True`` and serial execution produce byte-identical results
 in deterministic order; replay equivalence between the simulator and
-the proxy rests on the same property.  Any unseeded entropy or
-order-unstable iteration inside ``repro.core`` / ``repro.sim`` silently
-breaks those guarantees, so this rule flags:
+the proxy, byte-identical fault replay from ``(seed, schedule)`` and
+trace replay all rest on the same property.  A function of
+``repro.core`` / ``repro.sim`` / ``repro.obs`` / ``repro.faults`` /
+``repro.workload`` must therefore neither contain nor *reach*, through
+any chain of project calls, one of the hazards the flow extraction
+records (:func:`repro.analysis.flow.contracts.nondet_call_reason`):
 
-* uses of the module-global ``random`` API (``random.random()``,
-  ``random.shuffle()``, …) and ``from random import …`` — seed a local
+* the module-global ``random`` API (``random.random()``,
+  ``random.shuffle()``, names pulled in by ``from random import …``)
+  and ``random.Random()`` constructed *without* a seed — seed a local
   ``random.Random(seed)`` instead (``SpaceEffBY`` shows the pattern);
-* ``random.Random()`` constructed *without* a seed;
 * wall-clock and entropy reads: ``time.time``/``monotonic``/
   ``perf_counter``/``process_time`` (and ``_ns`` variants),
   ``datetime.now``/``utcnow``/``today``, ``os.urandom``,
@@ -19,23 +22,28 @@ breaks those guarantees, so this rule flags:
   ``for`` loop or comprehension — set iteration order varies across
   processes; sort first (``sorted(...)`` is deterministic).
 
-The rule covers ``repro.core``, ``repro.sim``, ``repro.obs`` (trace
-replay must be as deterministic as simulation), and ``repro.faults``
-(fault injection promises byte-identical replay from ``(seed,
-schedule)`` — wall clocks and module randomness would void the
-contract outright).  Observability-only
-exceptions carry a pragma: per line for isolated reads (e.g. stage
-timers), or a module-level ``# repro-lint: allow-file[RPR002]`` when the
-module's whole purpose is sanctioned (``repro.obs.manifest`` stamps
-wall-clock timestamps at the CLI edge by design).
+Every direct site is reported where it stands; a function with no
+hazard of its own that reaches one is reported at the call that leads
+there, with the chain spelled out — a helper three modules away
+calling ``random.random()`` breaks replay just as surely as an inline
+call.  Sanctioned seams absorb taint
+(:data:`~repro.analysis.flow.contracts.NONDET_SEAM_QUALNAMES`):
+``uniform_draw`` is hash-keyed and deterministic by construction,
+``wall_clock_timestamp`` stamps run metadata at the CLI edge.
+
+Observability-only exceptions carry a pragma at the hazard: per line
+for isolated reads (e.g. stage timers), or a module-level
+``# repro-lint: allow-file[RPR002]`` when the module's whole purpose is
+sanctioned (``repro.obs.manifest`` stamps wall-clock timestamps at the
+CLI edge by design).  A hazard suppressed at its source never enters
+the taint computation, wherever its callers live.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator
 
-from repro.analysis.flow.contracts import CLOCK_CALLS, DATETIME_NOW
+from repro.analysis.flow import contracts
 from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
@@ -43,142 +51,58 @@ from repro.analysis.lint.engine import (
     register_rule,
 )
 
-#: Shared with the project-wide taint analysis (RPR009) via
-#: :mod:`repro.analysis.flow.contracts`, so the per-file and
-#: interprocedural phases can never drift on what counts as a hazard.
-_CLOCK_CALLS = CLOCK_CALLS
+#: Packages whose functions must stay deterministically replayable.
+_SCOPE = ("core", "sim", "obs", "faults", "workload")
 
-_DATETIME_NOW = DATETIME_NOW
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for simple attribute chains, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+_ADVICE = (
+    "route entropy through uniform_draw() and timestamps through "
+    "wall_clock_timestamp(), or pragma-allow an observability-only read"
+)
 
 
 @register_rule
 class NondeterminismRule(Rule):
-    """Flag entropy, wall clocks, and set iteration in hot paths."""
+    """Flag entropy, wall clocks, and set iteration in replay paths."""
 
     rule_id = "RPR002"
     summary = (
-        "unseeded randomness, wall-clock reads, or set-iteration in "
-        "sim/core hot paths break deterministic-replay guarantees"
+        "replay-critical functions must neither contain nor reach "
+        "unseeded randomness, wall-clock reads, or set-order iteration"
     )
 
     def applies_to(self, context: FileContext) -> bool:
-        return (
-            context.has_segments("core")
-            or context.has_segments("sim")
-            or context.has_segments("obs")
-            or context.has_segments("faults")
-        )
+        return any(context.has_segments(segment) for segment in _SCOPE)
 
     def check(self, context: FileContext) -> Iterator[LintViolation]:
-        random_aliases = self._random_aliases(context.tree)
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module in {"random", "secrets"}:
-                    yield self.violation(
-                        context,
-                        node,
-                        f"from {node.module} import … pulls module-global "
-                        f"entropy; construct a seeded random.Random(seed)",
-                    )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(context, node, random_aliases)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._check_iteration(context, node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                for generator in node.generators:
-                    yield from self._check_iteration(context, generator.iter)
-
-    @staticmethod
-    def _random_aliases(tree: ast.Module) -> Set[str]:
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        aliases.add(alias.asname or "random")
-        return aliases
-
-    def _check_call(
-        self,
-        context: FileContext,
-        node: ast.Call,
-        random_aliases: Set[str],
-    ) -> Iterator[LintViolation]:
-        dotted = _dotted(node.func)
-        if dotted is None:
-            return
-        head, _, method = dotted.rpartition(".")
-        if head in random_aliases:
-            if method == "Random":
-                if not node.args and not node.keywords:
-                    yield self.violation(
-                        context,
-                        node,
-                        "random.Random() without a seed is entropy-"
-                        "dependent; pass an explicit seed",
-                    )
-                return
-            if method == "SystemRandom":
-                yield self.violation(
-                    context,
-                    node,
-                    "random.SystemRandom is OS entropy; use a seeded "
-                    "random.Random(seed)",
+        project = context.project
+        for facts in project.functions_in(context.module):
+            if contracts.is_seam(facts.qualname):
+                continue
+            for site in facts.nondet:
+                yield LintViolation(
+                    rule_id=self.rule_id,
+                    path=str(context.path),
+                    line=site.line,
+                    col=site.col,
+                    message=(
+                        f"{facts.qualname} contains {site.reason}; "
+                        f"{_ADVICE}"
+                    ),
                 )
-                return
-            yield self.violation(
-                context,
-                node,
-                f"module-global {dotted}() is unseeded shared state; "
-                f"use a seeded random.Random(seed) instance",
+            taint = project.summaries[facts.qualname].taint
+            if taint is None or taint.via is None:
+                continue
+            hops = " -> ".join(
+                qualname
+                for qualname, _ in project.taint_chain(facts.qualname)
             )
-            return
-        if dotted in _CLOCK_CALLS or dotted.startswith("secrets."):
-            yield self.violation(
-                context,
-                node,
-                f"{dotted}() reads wall-clock/OS entropy; hot paths "
-                f"must be replay-deterministic (pragma-allow if "
-                f"observability-only)",
-            )
-            return
-        if method in _DATETIME_NOW and head.split(".")[-1] in {
-            "datetime",
-            "date",
-        }:
-            yield self.violation(
-                context,
-                node,
-                f"{dotted}() reads the wall clock; derive time from the "
-                f"query index (the paper's notion of time)",
-            )
-
-    def _check_iteration(
-        self, context: FileContext, iterable: ast.expr
-    ) -> Iterator[LintViolation]:
-        is_set_display = isinstance(iterable, ast.Set)
-        is_set_call = (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id in {"set", "frozenset"}
-        )
-        if is_set_display or is_set_call:
-            yield self.violation(
-                context,
-                iterable,
-                "iterating a set has process-dependent order; iterate "
-                "sorted(...) for deterministic replay",
+            yield LintViolation(
+                rule_id=self.rule_id,
+                path=str(context.path),
+                line=taint.line,
+                col=0,
+                message=(
+                    f"{facts.qualname} reaches {taint.reason} via "
+                    f"{hops}; {_ADVICE}"
+                ),
             )

@@ -140,15 +140,11 @@ class PolicyConformanceRule(Rule):
                 f"{class_def.name} subclasses CachePolicy but does not "
                 f"implement decide()",
             )
-        elif (
-            "CachePolicy" not in bases
-            and not is_abstract_root
-            and context.project is not None
-            and context.module is not None
-        ):
-            # Project mode sees through intermediate bases: an indirect
-            # CachePolicy subclass must resolve decide() somewhere in
-            # its hierarchy even when no single file shows the chain.
+        elif "CachePolicy" not in bases and not is_abstract_root:
+            # The call graph sees through intermediate bases: an
+            # indirect CachePolicy subclass must resolve decide()
+            # somewhere in its hierarchy even when no single file
+            # shows the chain.
             graph = context.project.graph
             ancestors = graph.mro_bases(context.module, class_def.name)
             if any(name == "CachePolicy" for _, name in ancestors):

@@ -20,26 +20,26 @@ prune batch, not per query — carry a line pragma stating so::
 
     entries = sorted(...)  # repro-lint: allow[RPR005]
 
-The detector is syntactic: a scan hidden behind a temporary variable
-or a helper function escapes it.  It exists to stop the *easy*
-regression — pasting a full scan back into a decision method — not to
-prove asymptotics.
+The scan constructs are recorded by the flow extraction
+(``FunctionFacts.scan_sites``), so a hot method is also flagged at the
+call that reaches a scan through plain helper functions (up to three
+hops).  A scan hidden behind a temporary variable still escapes: the
+rule exists to stop the *easy* regression — pasting a full scan back
+into a decision method — not to prove asymptotics.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
+from repro.analysis.flow.extract import FunctionFacts
+from repro.analysis.flow.summaries import ProjectAnalysis
 from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
     Rule,
     register_rule,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.flow.summaries import ProjectAnalysis
 
 #: Methods on the per-query decision path.  Private helpers (leading
 #: underscore, non-dunder) are checked as well — decision methods
@@ -56,27 +56,6 @@ _HOT_METHODS = {
 
 def _is_private_helper(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
-
-
-def _scan_construct(node: ast.AST) -> Optional[str]:
-    """Describe ``node`` when it is a full-scan call, else None."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id == "sorted":
-            return "sorted(...) ranks the full candidate set"
-        if func.id in ("min", "max") and any(
-            isinstance(arg, (ast.GeneratorExp, ast.ListComp))
-            for arg in node.args
-        ):
-            return (
-                f"{func.id}(...) sweeps a comprehension over the "
-                f"candidate set"
-            )
-    if isinstance(func, ast.Attribute) and func.attr == "object_ids":
-        return ".object_ids() enumerates every resident object"
-    return None
 
 
 @register_rule
@@ -98,54 +77,41 @@ class DecisionPathScanRule(Rule):
         )
 
     def check(self, context: FileContext) -> Iterator[LintViolation]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(context, node)
-
-    def _check_class(
-        self, context: FileContext, class_def: ast.ClassDef
-    ) -> Iterator[LintViolation]:
-        for method in class_def.body:
-            if not isinstance(
-                method, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
+        for facts in context.project.functions_in(context.module):
+            if facts.class_name is None:
                 continue
-            if not (
-                method.name in _HOT_METHODS
-                or _is_private_helper(method.name)
-            ):
+            hot = facts.name in _HOT_METHODS
+            if not (hot or _is_private_helper(facts.name)):
                 continue
-            yield from self._check_method(context, class_def, method)
-            if method.name in _HOT_METHODS:
-                yield from self._check_helper_chain(
-                    context, class_def, method
+            method = f"{facts.class_name}.{facts.name}()"
+            for described, line, col in facts.scan_sites:
+                yield LintViolation(
+                    rule_id=self.rule_id,
+                    path=str(context.path),
+                    line=line,
+                    col=col,
+                    message=(
+                        f"{method} scans the cache: {described}; "
+                        f"per-query work must stay sublinear — use the "
+                        f"victim heap, or mark an amortized site with "
+                        f"'# repro-lint: allow[RPR005] <reason>'"
+                    ),
                 )
+            if hot:
+                yield from self._check_helper_chain(context, facts, method)
 
     def _check_helper_chain(
-        self,
-        context: FileContext,
-        class_def: ast.ClassDef,
-        method: ast.AST,
+        self, context: FileContext, facts: FunctionFacts, method: str
     ) -> Iterator[LintViolation]:
-        """Project mode: scans hidden behind module-level helpers.
+        """Scans hidden behind module-level helpers.
 
-        The syntactic check stops at the method body; with summaries
-        available, a hot method calling a plain function that (up to
-        three hops away) runs ``sorted(...)``/``.object_ids()`` is the
-        same O(n) regression and gets flagged at the call site.
+        A hot method calling a plain function that (up to three hops
+        away) runs ``sorted(...)``/``.object_ids()`` is the same O(n)
+        regression and gets flagged at the call site.
         """
         project = context.project
-        if project is None or context.module is None:
-            return
-        qualname = (
-            f"{context.module}.{class_def.name}."
-            f"{method.name}"  # type: ignore[attr-defined]
-        )
-        facts = project.facts(qualname)
-        if facts is None:
-            return
         for index, site in enumerate(facts.calls):
-            callee = project.callee_of(qualname, index)
+            callee = project.callee_of(facts.qualname, index)
             if callee is None:
                 continue
             found = self._find_scan(project, callee, 0, set())
@@ -163,10 +129,8 @@ class DecisionPathScanRule(Rule):
                 line=site.line,
                 col=site.col,
                 message=(
-                    f"{class_def.name}."
-                    f"{method.name}"  # type: ignore[attr-defined]
-                    f"() calls {scan_holder} which scans the cache: "
-                    f"{described}{via}; per-query work must stay "
+                    f"{method} calls {scan_holder} which scans the "
+                    f"cache: {described}{via}; per-query work must stay "
                     f"sublinear — or mark an amortized site with "
                     f"'# repro-lint: allow[RPR005] <reason>'"
                 ),
@@ -174,7 +138,7 @@ class DecisionPathScanRule(Rule):
 
     def _find_scan(
         self,
-        project: "ProjectAnalysis",
+        project: ProjectAnalysis,
         qualname: str,
         depth: int,
         seen: Set[str],
@@ -186,11 +150,11 @@ class DecisionPathScanRule(Rule):
         seen.add(qualname)
         facts = project.facts(qualname)
         if facts is None or facts.class_name is not None:
-            # Methods of other classes are covered by their own file's
-            # per-file pass (or presumed cold); only chase helpers.
+            # Methods of other classes are checked where they are
+            # defined (or presumed cold); only chase helpers.
             return None
         if facts.scan_sites:
-            return qualname, str(facts.scan_sites[0][0])
+            return qualname, facts.scan_sites[0][0]
         for index in range(len(facts.calls)):
             callee = project.callee_of(qualname, index)
             if callee is None:
@@ -199,24 +163,3 @@ class DecisionPathScanRule(Rule):
             if found is not None:
                 return found
         return None
-
-    def _check_method(
-        self,
-        context: FileContext,
-        class_def: ast.ClassDef,
-        method: ast.AST,
-    ) -> Iterator[LintViolation]:
-        seen: Set[int] = set()
-        for node in ast.walk(method):
-            described = _scan_construct(node)
-            if described is None or id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield self.violation(
-                context,
-                node,
-                f"{class_def.name}.{method.name}() scans the cache: "
-                f"{described}; per-query work must stay sublinear — "
-                f"use the victim heap, or mark an amortized site with "
-                f"'# repro-lint: allow[RPR005] <reason>'",
-            )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional
 
+from repro.analysis.flow.symbols import dotted_name
 from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
@@ -127,14 +128,10 @@ class SwallowedErrorRule(Rule):
     def _project_handles(
         context: FileContext, handler: ast.ExceptHandler
     ) -> bool:
-        """Project mode: a call into a function whose summary mutates
-        shared ledger/accounting state counts as recording the failure,
-        even when its name says nothing (``_note_waste(...)``)."""
+        """A call into a function whose summary mutates shared
+        ledger/accounting state counts as recording the failure, even
+        when its name says nothing (``_note_waste(...)``)."""
         project = context.project
-        if project is None or context.module is None:
-            return False
-        from repro.analysis.flow.symbols import dotted_name
-
         for statement in handler.body:
             for node in ast.walk(statement):
                 if not isinstance(node, ast.Call):

@@ -72,8 +72,8 @@ def _mentions_stream(
     ``ChunkedTrace``'s ``list(self)``); ``self.some_attr`` does not —
     attributes are judged by their own names, else every bounded
     instance list would fire.  ``stream_calls`` extends the known
-    generator constructors (project mode adds every public generator
-    function the analysis discovered).
+    generator constructors with every public generator function the
+    analysis discovered.
     """
     all_stream_calls = _STREAM_CALLS | stream_calls
     if isinstance(node, ast.Name) and node.id == "self":
@@ -169,16 +169,13 @@ class StreamingBoundednessRule(Rule):
 
     def check(self, context: FileContext) -> Iterator[LintViolation]:
         seen: Set[int] = set()
-        stream_calls: Set[str] = set()
-        if context.project is not None:
-            # Project mode: every public generator function discovered
-            # by the analysis is a stream source, not just the
-            # hard-coded constructor names.
-            stream_calls = {
-                name
-                for name in context.project.generator_functions()
-                if not name.startswith("_")
-            }
+        # Every public generator function the analysis discovered is
+        # a stream source, not just the hard-coded constructor names.
+        stream_calls = {
+            name
+            for name in context.project.generator_functions()
+            if not name.startswith("_")
+        }
         for node in ast.walk(context.tree):
             described = _materialization(node, stream_calls)
             if described is not None and id(node) not in seen:

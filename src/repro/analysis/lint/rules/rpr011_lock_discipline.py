@@ -1,4 +1,4 @@
-"""RPR011: service code mutates lock-guarded state only via the gate.
+"""RPR011: service code calls lock-guarded mutators only via the gate.
 
 The mediator service's concurrency discipline (DESIGN.md §15) is that
 the PR-4 policy state — the Landlord victim heaps and global credit
@@ -8,28 +8,26 @@ lock, and the only sanctioned lock holder is
 :meth:`repro.service.session.DecisionGate.locked_resolve`.
 
 This rule polices serving code (any module with a ``service`` package
-segment) for paths around that seam:
+segment) for calls around that seam: invoking a lock-guarded owner's
+mutator (``record_load``, ``pop_min``, ``_make_room``, …) from a
+non-holder function.  Calls are matched through the resolved call
+graph when it lands on a guarded owner, plus a distinctive-name
+fallback (generic names like ``set``/``request`` are never matched by
+name alone — asyncio and http.client own those too).
 
-* **calls** — invoking a lock-guarded owner's mutator
-  (``record_load``, ``pop_min``, ``_make_room``, …) from a
-  non-holder function.  Calls are matched through the resolved call
-  graph when it lands on a guarded owner, plus a distinctive-name
-  fallback (generic names like ``set``/``request`` are never matched
-  by name alone — asyncio and http.client own those too);
-* **writes** — assigning a lock-guarded attribute (``_victims``,
-  ``_offset``, ``load_bytes``, …) directly, whether on ``self`` in a
-  guarded subclass or reaching into another object.
-
-Non-service code is out of scope: single-threaded replay drivers
-(simulator, proxy, fleet) need no lock, and RPR010 already polices
-their mutator discipline.  Runs only in ``--project`` mode.
+Direct *writes* to guarded attributes are RPR004's: no code outside an
+owner's sanctioned mutators may write its state, service or not.
+Non-service callers are out of scope here: single-threaded replay
+drivers (simulator, proxy, fleet) need no lock.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, Iterator, Optional
+from typing import FrozenSet, Iterator, Optional
 
 from repro.analysis.flow import contracts
+from repro.analysis.flow.extract import CallSite, FunctionFacts
+from repro.analysis.flow.symbols import Ref
 from repro.analysis.lint.engine import (
     FileContext,
     LintViolation,
@@ -37,16 +35,8 @@ from repro.analysis.lint.engine import (
     register_rule,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.flow.extract import (
-        CallSite,
-        FunctionFacts,
-        SharedWrite,
-    )
-    from repro.analysis.flow.symbols import Ref
 
-
-def _call_method_name(ref: "Ref") -> Optional[str]:
+def _call_method_name(ref: Ref) -> Optional[str]:
     """The bare method name a call reference targets, if any."""
     tag = ref[0]
     if tag == "q":
@@ -67,13 +57,10 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[LintViolation]:
-        project = context.project
-        if project is None or context.module is None:
-            return
         if not contracts.in_service_scope(context.module):
             return
         guarded_names = contracts.lock_guarded_mutator_names()
-        for facts in project.functions_in(context.module):
+        for facts in context.project.functions_in(context.module):
             if contracts.is_lock_holder(facts.name, facts.qualname):
                 continue
             for index, site in enumerate(facts.calls):
@@ -82,21 +69,16 @@ class LockDisciplineRule(Rule):
                 )
                 if violation is not None:
                     yield violation
-            for write in facts.writes:
-                violation = self._check_write(context, facts, write)
-                if violation is not None:
-                    yield violation
 
     def _check_call(
         self,
         context: FileContext,
-        facts: "FunctionFacts",
+        facts: FunctionFacts,
         index: int,
-        site: "CallSite",
+        site: CallSite,
         guarded_names: FrozenSet[str],
     ) -> Optional[LintViolation]:
         project = context.project
-        assert project is not None
         owner: Optional[str] = None
         method = _call_method_name(site.ref)
         callee = project.callee_of(facts.qualname, index)
@@ -136,47 +118,5 @@ class LockDisciplineRule(Rule):
                 f"service code outside the decision-lock holder seam "
                 f"(DecisionGate.locked_resolve); lock-guarded state "
                 f"must not mutate off the lock"
-            ),
-        )
-
-    def _check_write(
-        self,
-        context: FileContext,
-        facts: "FunctionFacts",
-        write: "SharedWrite",
-    ) -> Optional[LintViolation]:
-        project = context.project
-        assert project is not None and context.module is not None
-        if write.attr not in contracts.lock_guarded_attrs():
-            return None
-        if write.is_self:
-            contract = project.owning_contract(
-                context.module, facts.class_name, write.attr
-            )
-            if (
-                contract is None
-                or contract.owner not in contracts.LOCK_GUARDED_OWNERS
-            ):
-                return None
-            owner = contract.owner
-        else:
-            owners = [
-                contract.owner
-                for contract in contracts.owners_of_attr(write.attr)
-                if contract.owner in contracts.LOCK_GUARDED_OWNERS
-            ]
-            if not owners or write.attr not in contracts.strict_attrs():
-                return None
-            owner = "/".join(owners)
-        return LintViolation(
-            rule_id=self.rule_id,
-            path=str(context.path),
-            line=write.line,
-            col=write.col,
-            message=(
-                f"{facts.qualname} writes lock-guarded attribute "
-                f"{write.attr!r} (owned by {owner}) from service "
-                f"code outside the decision-lock holder seam; route "
-                f"the mutation through DecisionGate.locked_*"
             ),
         )

@@ -65,6 +65,18 @@ def counter_unit(name: str) -> str:
     return "count"
 
 
+def served_hit(served_from_cache: bool, outcome: str) -> bool:
+    """Whether a query counts as served from cache.
+
+    The one hit predicate every fold uses — ``SimulationResult.charge``,
+    the instrumentation counters, the metrics probe and the trace
+    reports.  A resolved ``outcome`` is what actually happened (a serve
+    degraded to "unavailable" by a dark backend is not a hit, whatever
+    the policy intended); without one the policy's decision stands.
+    """
+    return outcome == "served" if outcome else served_from_cache
+
+
 @dataclass(frozen=True)
 class DecisionEvent:
     """One per-query load/serve/bypass decision, fully accounted.
@@ -100,6 +112,11 @@ class DecisionEvent:
         peer_bytes: Object bytes a sibling shard supplied instead of
             the backend (0 outside cooperative fleet runs) — regional
             traffic, excluded from :attr:`wan_bytes`.
+        failed_loads: How many of ``loads`` exhausted their retries
+            and were rolled back out of the cache (0 on fault-free
+            runs).
+        peer_hits: How many of ``loads`` a sibling shard supplied (0
+            outside cooperative fleet runs).
     """
 
     index: int
@@ -120,6 +137,18 @@ class DecisionEvent:
     tenant: str = ""
     shard: str = ""
     peer_bytes: int = 0
+    failed_loads: int = 0
+    peer_hits: int = 0
+
+    @property
+    def hit(self) -> bool:
+        """Served from cache, as it actually resolved (:func:`served_hit`)."""
+        return served_hit(self.served_from_cache, self.outcome)
+
+    @property
+    def net_loads(self) -> int:
+        """Loads that stayed in the cache: decided minus rolled back."""
+        return len(self.loads) - self.failed_loads
 
     @property
     def wan_bytes(self) -> int:
@@ -147,13 +176,17 @@ class DecisionEvent:
             "outcome": self.outcome,
             "tenant": self.tenant,
         }
-        # Fleet fields appear only when set, so traces from
-        # non-cooperative runs stay byte-identical to pre-fleet output
-        # (the repro-report diff gate compares serialized lines).
+        # Fleet and fault fields appear only when set, so traces from
+        # runs without them stay byte-identical to earlier output (the
+        # repro-report diff gate compares serialized lines).
         if self.shard:
             data["shard"] = self.shard
         if self.peer_bytes:
             data["peer_bytes"] = self.peer_bytes
+        if self.failed_loads:
+            data["failed_loads"] = self.failed_loads
+        if self.peer_hits:
+            data["peer_hits"] = self.peer_hits
         return data
 
     @classmethod
@@ -182,6 +215,8 @@ class DecisionEvent:
             tenant=str(data.get("tenant", "")),
             shard=str(data.get("shard", "")),
             peer_bytes=int(data.get("peer_bytes", 0)),  # type: ignore[call-overload]
+            failed_loads=int(data.get("failed_loads", 0)),  # type: ignore[call-overload]
+            peer_hits=int(data.get("peer_hits", 0)),  # type: ignore[call-overload]
         )
 
 
@@ -284,12 +319,14 @@ class Instrumentation:
             self.events.append(event)
         self.events_seen += 1
         self.count("decisions")
-        if event.served_from_cache:
+        hit = event.hit
+        if hit:
             self.count("decisions.served")
         else:
             self.count("decisions.bypassed")
-        if event.loads:
-            self.count("decisions.loads", len(event.loads))
+        net_loads = event.net_loads
+        if net_loads:
+            self.count("decisions.loads", net_loads)
         if event.evictions:
             self.count("decisions.evictions", len(event.evictions))
         self.count("wan.load_bytes", event.load_bytes)
@@ -306,7 +343,7 @@ class Instrumentation:
         # aggregate counters above.
         tenant = event.tenant or "untagged"
         self.count(f"tenant.{tenant}.decisions")
-        if event.served_from_cache:
+        if hit:
             self.count(f"tenant.{tenant}.served")
         self.count(f"tenant.{tenant}.wan_bytes", event.wan_bytes)
         self.count(f"tenant.{tenant}.weighted_cost", event.weighted_cost)
@@ -315,11 +352,12 @@ class Instrumentation:
         # so non-fleet runs emit exactly the pre-fleet counter set.
         if event.peer_bytes:
             self.count("fleet.peer_bytes", event.peer_bytes)
-            self.count("fleet.peer_hits")
+        if event.peer_hits:
+            self.count("fleet.peer_hits", event.peer_hits)
         if event.shard:
             shard = event.shard
             self.count(f"fleet.shard.{shard}.decisions")
-            if event.served_from_cache:
+            if hit:
                 self.count(f"fleet.shard.{shard}.served")
             self.count(f"fleet.shard.{shard}.wan_bytes", event.wan_bytes)
             if event.peer_bytes:
@@ -332,7 +370,7 @@ class Instrumentation:
                 event.index,
                 event.source,
                 event.policy,
-                "serve" if event.served_from_cache else "bypass",
+                "serve" if hit else "bypass",
                 list(event.loads),
                 list(event.evictions),
                 event.wan_bytes,

@@ -930,6 +930,8 @@ class DecisionPipeline:
                 outcome=outcome,
                 tenant=event.tenant,
                 shard=shard,
+                failed_loads=failed_loads,
+                peer_hits=peer_hits,
             )
         return decision, accounting
 
@@ -948,6 +950,8 @@ class DecisionPipeline:
         outcome: str = "",
         tenant: str = "",
         shard: str = "",
+        failed_loads: int = 0,
+        peer_hits: int = 0,
     ) -> None:
         """Forward one decision to the instrumentation sink, if any."""
         if self.instrumentation is None:
@@ -972,6 +976,8 @@ class DecisionPipeline:
                 tenant=tenant,
                 shard=shard,
                 peer_bytes=accounting.peer_bytes,
+                failed_loads=failed_loads,
+                peer_hits=peer_hits,
             )
         )
 

@@ -239,6 +239,7 @@ class BypassYieldProxy:
         peer_bytes = ZERO_BYTES
         peer_cost = ZERO_COST
         failed_loads: List[str] = []
+        peer_hits = 0
         final_result: Optional[ResultSet] = result
         with self._stage("proxy.transfer"):
             for object_id in decision.loads:
@@ -253,6 +254,7 @@ class BypassYieldProxy:
                     )
                     peer_bytes = RawBytes(peer_bytes + size)
                     peer_cost = WeightedCost(peer_cost + cost)
+                    peer_hits += 1
                     continue
                 try:
                     size, cost = self.mediator.load_object(object_id)
@@ -318,6 +320,8 @@ class BypassYieldProxy:
             # Fault-free events carry no outcome: pre-fault traces stay
             # byte-identical.
             outcome=outcome if transport is not None else "",
+            failed_loads=len(failed_loads),
+            peer_hits=peer_hits,
         )
         return ProxyResponse(
             result=final_result,

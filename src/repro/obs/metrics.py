@@ -475,12 +475,14 @@ class MetricsProbe(Probe):
 
     def on_decision(self, event: DecisionEvent) -> None:
         self._decisions.inc()
-        if event.served_from_cache:
+        hit = event.hit
+        if hit:
             self._served.inc()
         else:
             self._bypassed.inc()
-        if event.loads:
-            self._loads.inc(len(event.loads))
+        net_loads = event.net_loads
+        if net_loads:
+            self._loads.inc(net_loads)
         if event.evictions:
             self._evictions.inc(len(event.evictions))
         self._load_bytes.inc(event.load_bytes)
@@ -499,16 +501,16 @@ class MetricsProbe(Probe):
                 f"{sanitize_metric_name(event.outcome)}_total",
                 f"Queries resolved as {event.outcome}",
             ).inc()
-        self._attribute_tenant(event)
+        self._attribute_tenant(event, hit)
         if event.shard:
-            self._attribute_shard(event)
+            self._attribute_shard(event, hit)
         decided = self._decisions.value
         if decided:
             self._hit_rate.set(self._served.value / decided)
         if self.occupancy is not None:
             self._occupancy_gauge.set(float(self.occupancy()))
 
-    def _attribute_tenant(self, event: DecisionEvent) -> None:
+    def _attribute_tenant(self, event: DecisionEvent, hit: bool) -> None:
         """Charge the decision to its tenant via labeled counters.
 
         Untagged traffic gets its own ``tenant="untagged"`` series, so
@@ -525,7 +527,7 @@ class MetricsProbe(Probe):
             f"{p}_tenant_decisions_total{label}",
             "Queries decided, partitioned by tenant",
         ).inc()
-        if event.served_from_cache:
+        if hit:
             self.registry.counter(
                 f"{p}_tenant_served_total{label}",
                 "Queries served from cache, partitioned by tenant",
@@ -539,7 +541,7 @@ class MetricsProbe(Probe):
             "Link-weighted WAN cost per tenant",
         ).inc(event.weighted_cost)
 
-    def _attribute_shard(self, event: DecisionEvent) -> None:
+    def _attribute_shard(self, event: DecisionEvent, hit: bool) -> None:
         """Charge the decision to its fleet shard via labeled series.
 
         Mirrors :meth:`_attribute_tenant`: only tagged (cooperative
@@ -555,7 +557,7 @@ class MetricsProbe(Probe):
             f"{p}_shard_decisions_total{label}",
             "Queries decided, partitioned by fleet shard",
         ).inc()
-        if event.served_from_cache:
+        if hit:
             self.registry.counter(
                 f"{p}_shard_served_total{label}",
                 "Queries served from cache, partitioned by fleet shard",

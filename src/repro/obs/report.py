@@ -96,18 +96,18 @@ class RunMetrics:
 def summarize_events(events: Sequence[DecisionEvent]) -> RunMetrics:
     """Fold a trace's events into the run's accounting quantities."""
     queries = len(events)
-    served = sum(1 for e in events if e.served_from_cache)
+    served = sum(1 for e in events if e.hit)
     return RunMetrics(
         queries=queries,
         served=served,
-        loads=sum(len(e.loads) for e in events),
+        loads=sum(e.net_loads for e in events),
         evictions=sum(len(e.evictions) for e in events),
         load_bytes=sum(e.load_bytes for e in events),
         bypass_bytes=sum(e.bypass_bytes for e in events),
         weighted_cost=sum(e.weighted_cost for e in events),
         yield_bytes=sum(e.yield_bytes for e in events),
         served_yield_bytes=sum(
-            e.yield_bytes for e in events if e.served_from_cache
+            e.yield_bytes for e in events if e.hit
         ),
         retries=sum(e.retries for e in events),
         retry_bytes=sum(e.retry_bytes for e in events),

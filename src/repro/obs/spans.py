@@ -265,7 +265,7 @@ class SpanTracer:
     parent of spans started before it finishes.  All mutation of tracer
     state goes through the sanctioned mutators ``start``, ``finish``,
     ``record``, ``add_sink``, and ``reset`` (enforced project-wide by
-    repro-lint RPR010).
+    repro-lint RPR004).
     """
 
     #: Tracers advertise liveness so pipelines can normalize a disabled

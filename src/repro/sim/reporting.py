@@ -228,7 +228,7 @@ def format_decision_trace(
             event.index,
             event.source,
             event.policy,
-            "serve" if event.served_from_cache else "bypass",
+            "serve" if event.hit else "bypass",
             len(event.loads),
             len(event.evictions),
             event.wan_bytes,

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
+from repro.core.instrumentation import served_hit
+
 if TYPE_CHECKING:
     from repro.core.events import Decision
     from repro.core.instrumentation import DecisionEvent
@@ -175,10 +177,7 @@ class SimulationResult:
             self.retries += retries
             self.failed_loads += failed_loads
             self.loads -= failed_loads
-        if not outcome:
-            if decision.served_from_cache:
-                self.served_queries += 1
-        elif outcome == "served":
+        if served_hit(decision.served_from_cache, outcome):
             self.served_queries += 1
         elif outcome == "partial":
             self.partial_queries += 1
@@ -224,7 +223,12 @@ class SimulationResult:
             peer_cost=ZERO_COST,
         )
         self.charge(
-            accounting, event, outcome=event.outcome, retries=event.retries
+            accounting,
+            event,
+            peer_hits=event.peer_hits,
+            outcome=event.outcome,
+            retries=event.retries,
+            failed_loads=event.failed_loads,
         )
         self.queries += 1
 

@@ -99,7 +99,7 @@ class ShapeFacts:
     code unshared.  A fact is either plain data or a function of the
     literal values (the yield estimator's program).
 
-    :meth:`fill` is the only writer (RPR010 contract ``ShapeFacts``).
+    :meth:`fill` is the only writer (RPR004 contract ``ShapeFacts``).
     """
 
     __slots__ = ("_facts",)

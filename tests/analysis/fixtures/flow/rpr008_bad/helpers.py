@@ -1,6 +1,6 @@
 """Helpers whose names reveal nothing about their result units.
 
-Local inference (RPR001) cannot classify a call to ``freight`` or
+Naming conventions cannot classify a call to ``freight`` or
 ``payload``; only their summaries expose the kinds they return.
 """
 

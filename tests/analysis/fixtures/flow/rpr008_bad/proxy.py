@@ -1,6 +1,6 @@
 """The PR-1 proxy bug, laundered through a helper chain.
 
-Every site below is invisible to per-file RPR001 — the operand kinds
+Every site below is invisible in this file alone — the operand kinds
 only surface through the callee summaries of ``helpers``.
 """
 

@@ -18,9 +18,9 @@ def fits(entry, budget_bytes):
     return admit(payload(entry), budget_bytes)
 
 
-def build_request(make_request, entry):
-    # Cost weighted, yield raw — each kwarg in its declared kind.
+def build_request(make_request, entry, link_weight):
+    # Cost and yield quoted in one currency: the yield is weighed.
     return make_request(
         fetch_cost=freight(entry),
-        yield_bytes=payload(entry),
+        yield_bytes=payload(entry) * link_weight,
     )

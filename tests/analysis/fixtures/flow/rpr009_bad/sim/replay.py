@@ -1,7 +1,7 @@
 """A replay step that reaches entropy through a helper chain.
 
-No hazard appears in this file, so per-file RPR002 stays silent; only
-the transitive summary exposes the ``random.random()`` two hops away.
+No hazard appears in this file, so linted alone it is clean; only the
+transitive summary exposes the ``random.random()`` two hops away.
 """
 
 from rpr009_bad.util import jitter

@@ -1,7 +1,7 @@
 """Helpers outside the replay-critical packages.
 
-Neither RPR002 nor RPR009 runs on this path — the hazards only
-matter once a replay-critical function reaches them.
+RPR002 does not apply on this path — the hazards only matter
+once a replay-critical function reaches them.
 """
 
 import random

@@ -1,7 +1,7 @@
 """Workload generation with a direct clock read.
 
-``workload`` is outside RPR002's per-file scope — this direct hazard
-is exactly the blind spot RPR009 covers.
+``workload`` is replay-critical like ``core`` and ``sim`` — RPR002
+reports a direct hazard here as it does there.
 """
 
 import time

@@ -4,16 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    RULE_REGISTRY,
-    LintViolation,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.flow.loader import iter_python_files
+from repro.analysis.lint import RULE_REGISTRY, LintViolation
 from repro.analysis.lint.cli import main
-from repro.analysis.lint.engine import iter_python_files
 from repro.errors import AnalysisError
+
+from tests.analysis.lintkit import lint, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,11 +83,11 @@ class TestPragmas:
         source = (
             "def f(load_bytes, load_cost):\n"
             "    return load_bytes + load_cost"
-            "  # repro-lint: allow[RPR001,RPR008] both phases\n"
+            "  # repro-lint: allow[RPR001,RPR004] both rules\n"
         )
         assert (
             lint_source(
-                source, Path("x.py"), select=["RPR001", "RPR008"]
+                source, Path("x.py"), select=["RPR001", "RPR004"]
             )
             == []
         )
@@ -108,10 +104,27 @@ class TestPragmas:
         source = (
             "def f(load_bytes, load_cost):\n"
             "    return load_bytes + load_cost"
-            "  # repro-lint: allow[RPR002,RPR008]\n"
+            "  # repro-lint: allow[RPR002,RPR004]\n"
         )
         violations = lint_source(source, Path("x.py"), select=["RPR001"])
         assert [v.rule_id for v in violations] == ["RPR001"]
+
+    def test_pragma_naming_no_rule_is_reported(self):
+        # A retired id suppresses nothing and must not rot in place.
+        source = (
+            "def f(load_bytes, load_cost):\n"
+            "    return load_bytes + load_cost"
+            "  # repro-lint: allow[RPR001, RPR008] stale\n"
+        )
+        (violation,) = lint_source(source, Path("x.py"))
+        assert (violation.rule_id, violation.line) == ("RPR000", 2)
+        assert "'RPR008'" in violation.message
+
+    def test_file_pragma_naming_no_rule_is_reported(self):
+        source = "# repro-lint: allow-file[RPR010] retired id\nX = 1\n"
+        (violation,) = lint_source(source, Path("x.py"), ["RPR004"])
+        assert (violation.rule_id, violation.line) == ("RPR000", 1)
+        assert "'RPR010'" in violation.message
 
 
 class TestLineAllows:
@@ -120,9 +133,9 @@ class TestLineAllows:
     def test_comma_list(self):
         from repro.analysis.lint.engine import line_allows
 
-        lines = ["x = 1  # repro-lint: allow[RPR001, RPR008]"]
+        lines = ["x = 1  # repro-lint: allow[RPR001, RPR004]"]
         assert line_allows(lines, 1, "RPR001")
-        assert line_allows(lines, 1, "RPR008")
+        assert line_allows(lines, 1, "RPR004")
         assert not line_allows(lines, 1, "RPR002")
 
     def test_multiple_pragmas_on_one_line(self):
@@ -130,10 +143,10 @@ class TestLineAllows:
 
         lines = [
             "x = 1  # repro-lint: allow[RPR001] units"
-            "  # repro-lint: allow[RPR008] summaries"
+            "  # repro-lint: allow[RPR004] accounting"
         ]
         assert line_allows(lines, 1, "RPR001")
-        assert line_allows(lines, 1, "RPR008")
+        assert line_allows(lines, 1, "RPR004")
         assert not line_allows(lines, 1, "RPR002")
 
     def test_out_of_range_lines_never_allow(self):
@@ -227,12 +240,12 @@ class TestEngineMechanics:
             list(iter_python_files([Path("definitely/not/here")]))
 
     def test_lint_paths_sorts_deterministically(self):
-        violations = lint_paths([FIXTURES], select=["RPR001"])
+        violations = lint(FIXTURES, select=["RPR001"])
         keys = [(v.path, v.line, v.col, v.rule_id) for v in violations]
         assert keys == sorted(keys)
 
     def test_violations_carry_fixture_paths(self):
-        violations = lint_file(
+        violations = lint(
             FIXTURES / "rpr001" / "bad.py", select=["RPR001"]
         )
         assert violations
@@ -265,9 +278,25 @@ class TestCli:
         )
         assert exit_code == 2
 
+    def test_mode_and_cache_options_are_gone(self, capsys):
+        for option in ("--project", "--cache"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([option, str(FIXTURES / "rpr001"), "--list-rules"])
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         exit_code = main(["--list-rules"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004"):
-            assert rule_id in out
+        # One rule per property: a re-split shows up here.
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "RPR001",
+            "RPR002",
+            "RPR003",
+            "RPR004",
+            "RPR005",
+            "RPR006",
+            "RPR007",
+            "RPR011",
+        ]

@@ -1,16 +1,16 @@
 """Unit tests for the :mod:`repro.analysis.flow` semantic layer:
-module loading, call-graph resolution, summaries, and the on-disk
-per-module cache."""
-
-import json
-from pathlib import Path
+module loading, call-graph resolution, and summaries."""
 
 import pytest
 
-from repro.analysis.flow import analyze_project
+from repro.analysis.flow import analyze_modules
 from repro.analysis.flow.lattice import AbstractUnit
-from repro.analysis.flow.loader import load_project
+from repro.analysis.flow.loader import load_paths
 from repro.errors import AnalysisError
+
+
+def analyze_project(root):
+    return analyze_modules(load_paths([root]))
 
 
 def make_project(tmp_path, files, name="pkg"):
@@ -32,18 +32,38 @@ class TestLoader:
             tmp_path,
             {"a.py": "x = 1\n", "sub/__init__.py": "", "sub/b.py": "y = 2\n"},
         )
-        modules = load_project(root)
+        modules = load_paths([root])
         assert set(modules) == {"pkg", "pkg.a", "pkg.sub", "pkg.sub.b"}
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(AnalysisError):
-            load_project(tmp_path / "nope")
+            load_paths([tmp_path / "nope"])
 
     def test_empty_root_raises(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(AnalysisError):
-            load_project(empty)
+            load_paths([empty])
+
+    def test_a_module_is_named_by_its_package_chain(self, tmp_path):
+        # The same name whether the run starts at the package, above
+        # it, or at the file itself.
+        root = make_project(
+            tmp_path, {"sub/__init__.py": "", "sub/b.py": "y = 2\n"}
+        )
+        for start in (root, tmp_path, root / "sub" / "b.py"):
+            assert "pkg.sub.b" in load_paths([start])
+
+    def test_two_files_claiming_one_name_is_an_error(self, tmp_path):
+        for directory in ("one", "two"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "loose.py").write_text("x = 1\n")
+        with pytest.raises(AnalysisError, match="duplicate module"):
+            load_paths(
+                [tmp_path / "one" / "loose.py", tmp_path / "two" / "loose.py"]
+            )
+        # Named once through two paths is the same file, not a clash.
+        assert len(load_paths([tmp_path / "one", tmp_path / "one"])) == 1
 
 
 class TestCallGraph:
@@ -229,67 +249,3 @@ class TestSummaries:
         analysis = analyze_project(root)
         assert analysis.mutates_shared("pkg.led.TrafficLedger.record_load")
         assert analysis.mutates_shared("pkg.led.funnel")
-
-
-class TestSummaryCache:
-    FILES = {
-        "a.py": "def f(entry):\n    return entry.fetch_cost\n",
-        "b.py": "from pkg.a import f\n\ndef g(entry):\n    return f(entry)\n",
-    }
-
-    def test_warm_run_hits_every_module(self, tmp_path):
-        root = make_project(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        cold = analyze_project(root, cache_path=cache)
-        assert cold.stats["cache_hits"] == 0
-        assert cold.stats["cache_misses"] == cold.stats["modules"]
-        warm = analyze_project(root, cache_path=cache)
-        assert warm.stats["cache_hits"] == warm.stats["modules"]
-        assert warm.stats["cache_misses"] == 0
-
-    def test_editing_one_file_invalidates_only_it(self, tmp_path):
-        root = make_project(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        analyze_project(root, cache_path=cache)
-        (root / "a.py").write_text(
-            "def f(entry):\n    return entry.raw_bytes\n",
-            encoding="utf-8",
-        )
-        warmish = analyze_project(root, cache_path=cache)
-        assert warmish.stats["cache_misses"] == 1
-        assert (
-            warmish.stats["cache_hits"] == warmish.stats["modules"] - 1
-        )
-        # The recomputed summary reflects the edit.
-        summary = warmish.summary("pkg.b.g")
-        assert summary.return_unit is AbstractUnit.RAW
-
-    def test_cached_results_match_fresh_ones(self, tmp_path):
-        root = make_project(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        analyze_project(root, cache_path=cache)
-        warm = analyze_project(root, cache_path=cache)
-        fresh = analyze_project(root)
-        assert (
-            warm.summary("pkg.b.g").return_unit
-            is fresh.summary("pkg.b.g").return_unit
-        )
-
-    def test_malformed_cache_is_ignored(self, tmp_path):
-        root = make_project(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        cache.write_text("this is not json{", encoding="utf-8")
-        analysis = analyze_project(root, cache_path=cache)
-        assert analysis.stats["cache_misses"] == analysis.stats["modules"]
-        # The run repairs the cache file in passing.
-        assert json.loads(cache.read_text(encoding="utf-8"))
-
-    def test_version_mismatch_discards_entries(self, tmp_path):
-        root = make_project(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        analyze_project(root, cache_path=cache)
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        payload["version"] = -1
-        cache.write_text(json.dumps(payload), encoding="utf-8")
-        again = analyze_project(root, cache_path=cache)
-        assert again.stats["cache_hits"] == 0

@@ -3,13 +3,13 @@ silent on the corrected code."""
 
 from pathlib import Path
 
-from repro.analysis.lint import lint_file
+from tests.analysis.lintkit import lint, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_rule(rule_id, relative):
-    return lint_file(FIXTURES / relative, select=[rule_id])
+    return lint(FIXTURES / relative, select=[rule_id])
 
 
 class TestRPR001UnitMixing:
@@ -30,6 +30,37 @@ class TestRPR001UnitMixing:
     def test_silent_on_corrected_code(self):
         assert run_rule("RPR001", Path("rpr001/good.py")) == []
 
+    def test_weighted_cost_with_an_unlabelled_yield_is_flagged(self):
+        # The PR-1 shape exactly: nothing says what ``share`` is, and a
+        # weighted price next to it is presumed mispaired.
+        source = (
+            "def emit(make, federation, object_id, share):\n"
+            "    return make(\n"
+            "        fetch_cost=federation.fetch_cost(object_id),\n"
+            "        yield_bytes=share,\n"
+            "    )\n"
+        )
+        (violation,) = lint_source(source, Path("x.py"), ["RPR001"])
+        assert "yield_bytes= is unknown" in violation.message
+        raw_view = source.replace(
+            "federation.fetch_cost(object_id)",
+            "federation.object_size(object_id)",
+        )
+        assert lint_source(raw_view, Path("x.py"), ["RPR001"]) == []
+
+    def test_closures_and_import_time_code_are_covered(self):
+        source = (
+            "TOTAL = LOAD_BYTES + LOAD_COST\n"
+            "\n"
+            "\n"
+            "def outer():\n"
+            "    def inner(load_bytes, load_cost):\n"
+            "        return load_bytes + load_cost\n"
+            "    return inner\n"
+        )
+        violations = lint_source(source, Path("x.py"), ["RPR001"])
+        assert [v.line for v in violations] == [1, 6]
+
 
 class TestRPR002Nondeterminism:
     def test_fires_on_seeded_violations(self):
@@ -46,8 +77,6 @@ class TestRPR002Nondeterminism:
         assert run_rule("RPR002", Path("rpr002/sim/good.py")) == []
 
     def test_scoped_to_core_and_sim_paths(self):
-        from repro.analysis.lint import lint_source
-
         source = "import time\n\n\ndef f():\n    return time.time()\n"
         inside = lint_source(
             source, Path("src/repro/sim/x.py"), select=["RPR002"]
@@ -57,6 +86,37 @@ class TestRPR002Nondeterminism:
         )
         assert len(inside) == 1
         assert outside == []
+
+    def test_every_direct_hazard_in_one_function_is_reported(self):
+        source = (
+            "import random\n"
+            "import time\n"
+            "\n"
+            "\n"
+            "def f():\n"
+            "    started = time.time()\n"
+            "    return started + random.random()\n"
+        )
+        violations = lint_source(
+            source, Path("src/repro/sim/x.py"), select=["RPR002"]
+        )
+        assert [v.line for v in violations] == [6, 7]
+        assert "time.time()" in violations[0].message
+        assert "random.random()" in violations[1].message
+
+    def test_scope_is_the_union_of_both_old_rules(self):
+        source = "import time\n\n\ndef f():\n    return time.time()\n"
+        for package in ("core", "sim", "obs", "faults", "workload"):
+            path = Path(f"src/repro/{package}/x.py")
+            assert len(lint_source(source, path, ["RPR002"])) == 1
+
+    def test_import_time_hazard_is_reported(self):
+        source = "import time\n\nSTARTED = time.time()\n"
+        (violation,) = lint_source(
+            source, Path("src/repro/sim/x.py"), select=["RPR002"]
+        )
+        assert violation.line == 3
+        assert "<module>" in violation.message
 
 
 class TestRPR003PolicyConformance:
@@ -77,8 +137,6 @@ class TestRPR003PolicyConformance:
         )
 
     def test_scoped_to_core_policies_paths(self):
-        from repro.analysis.lint import lint_source
-
         source = "class LonePolicy:\n    pass\n"
         inside = lint_source(
             source,
@@ -104,6 +162,24 @@ class TestRPR004AccountingDiscipline:
 
     def test_silent_on_corrected_code(self):
         assert run_rule("RPR004", Path("rpr004/good.py")) == []
+
+    def test_accounting_field_on_a_non_owner_self_is_flagged(self):
+        source = (
+            "class CustomDriver:\n"
+            "    def run(self):\n"
+            "        self.wan_cost = 0.0\n"
+            "        self.progress = 0\n"
+        )
+        (violation,) = lint_source(source, Path("x.py"), ["RPR004"])
+        assert violation.line == 3
+        assert "'wan_cost'" in violation.message
+
+    def test_one_finding_where_two_parent_rules_overlapped(self):
+        # ``ledger.load_bytes += …`` drew RPR004 *and* RPR010 at the
+        # parent; one property, one rule, one finding now.
+        violations = lint(FIXTURES / "flow" / "rpr010_bad")
+        meddle = [v for v in violations if "meddle.py" in v.path]
+        assert [v.rule_id for v in meddle] == ["RPR004"]
 
 
 class TestRPR005DecisionPathScans:
@@ -140,8 +216,6 @@ class TestRPR005DecisionPathScans:
         )
 
     def test_scoped_to_decision_layers(self):
-        from repro.analysis.lint import lint_source
-
         source = (
             "class C:\n"
             "    def decide(self, query):\n"
@@ -165,8 +239,6 @@ class TestRPR005DecisionPathScans:
         assert elsewhere == []
 
     def test_cold_public_methods_exempt(self):
-        from repro.analysis.lint import lint_source
-
         source = (
             "class C:\n"
             "    def describe(self):\n"
@@ -198,8 +270,6 @@ class TestRPR006SwallowedErrors:
         assert run_rule("RPR006", Path("rpr006/federation/good.py")) == []
 
     def test_scoped_to_federation_and_faults(self):
-        from repro.analysis.lint import lint_source
-
         source = (
             "def f(x):\n"
             "    try:\n"
@@ -221,8 +291,6 @@ class TestRPR006SwallowedErrors:
         assert elsewhere == []
 
     def test_reraise_and_record_both_satisfy(self):
-        from repro.analysis.lint import lint_source
-
         reraise = (
             "def f(x):\n"
             "    try:\n"
@@ -267,8 +335,6 @@ class TestRPR007StreamingBoundedness:
         assert run_rule("RPR007", Path("rpr007/sim/good.py")) == []
 
     def test_pragma_allows_intentional_sites(self):
-        from repro.analysis.lint import lint_source
-
         bare = (
             "def f(stream):\n"
             "    out = []\n"
@@ -286,8 +352,6 @@ class TestRPR007StreamingBoundedness:
         assert lint_source(allowed, path, select=["RPR007"]) == []
 
     def test_scoped_to_sim_and_workload(self):
-        from repro.analysis.lint import lint_source
-
         source = "def f(stream):\n    return list(stream)\n"
         in_sim = lint_source(
             source, Path("src/repro/sim/x.py"), select=["RPR007"]

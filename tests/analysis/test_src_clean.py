@@ -1,40 +1,41 @@
 """The repo's own source must be repro-lint clean (CI runs the same
 check via the console script)."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.lint import lint_paths
 
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
 
 
+@pytest.fixture(scope="module")
+def run():
+    """One lint run of ``src/repro``: (violations, analysis)."""
+    return lint_paths([SRC])
+
+
 def test_src_tree_exists():
     assert SRC.is_dir()
 
 
-def test_src_is_lint_clean():
-    violations = lint_paths([SRC])
+def test_src_is_lint_clean(run):
+    violations, _ = run
     rendered = "\n".join(v.render() for v in violations)
     assert violations == [], f"repro-lint violations in src:\n{rendered}"
 
 
-def test_src_is_project_lint_clean():
-    """The whole-project pass (call graph + summaries, RPR008-RPR010
-    live) must also come back clean — CI gates on this with the
-    checked-in baseline, which is empty."""
-    from repro.analysis.lint.engine import lint_project
-
-    violations, analysis = lint_project(SRC)
-    rendered = "\n".join(v.render() for v in violations)
-    assert violations == [], f"project-lint violations in src:\n{rendered}"
-    assert analysis is not None
+def test_src_is_project_lint_clean(run):
+    """The clean run above really was the whole project: every module
+    loaded, the call graph populated."""
+    _, analysis = run
     assert analysis.stats["modules"] > 100
     assert analysis.stats["functions"] > 1000
 
 
 def test_checked_in_baseline_is_empty():
-    import json
-
     baseline = SRC.parent.parent / "repro-lint-baseline.json"
     payload = json.loads(baseline.read_text(encoding="utf-8"))
     assert payload["version"] == 1

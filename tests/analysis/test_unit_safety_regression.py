@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import lint_file, lint_source
 from repro.core.pipeline import DecisionPipeline
 from repro.core.units import per_byte_weight, weigh
 from repro.federation import Federation
 
+from tests.analysis.lintkit import lint, lint_source
 from tests.conftest import build_catalog
 
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
@@ -132,4 +132,4 @@ class TestStaticGuard:
         ["core/pipeline.py", "core/proxy.py", "federation/network.py"],
     )
     def test_fixed_sources_lint_clean(self, module):
-        assert lint_file(SRC / module, select=["RPR001"]) == []
+        assert lint(SRC / module, select=["RPR001"]) == []
