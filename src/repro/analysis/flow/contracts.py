@@ -175,6 +175,8 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
             {
                 "weighted_cost",
                 "served_queries",
+                "yield_bytes",
+                "served_yield_bytes",
                 "loads",
                 "evictions",
                 "retries",
@@ -318,10 +320,10 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
         description="one persisted decision's WAN charges (frozen)",
     ),
     EffectContract(
-        owner="SpanWriter",
-        attrs=frozenset({"spans_written", "_handle"}),
-        mutators=frozenset({"write", "close", "on_span"}),
-        description="span file sink (stream handle and write count)",
+        owner="JsonlWriter",
+        attrs=frozenset({"_written", "_handle"}),
+        mutators=frozenset({"_open", "write_record", "close"}),
+        description="trace/span file writer (stream handle and line count)",
     ),
 )
 

@@ -418,19 +418,9 @@ class Instrumentation:
         runners keep deterministic (submission order).  Probes are not
         merged.  Returns ``self`` for chaining.
         """
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0.0) + value
-        for name, seconds in other.stage_seconds.items():
-            self.stage_seconds[name] = (
-                self.stage_seconds.get(name, 0.0) + seconds
-            )
-            self.stage_calls[name] = (
-                self.stage_calls.get(name, 0)
-                + other.stage_calls.get(name, 0)
-            )
+        self.merge_snapshot(other.snapshot())
         if self._retain_events:
             self.events.extend(other.events)
-        self.events_seen += other.events_seen
         return self
 
     def merge_snapshot(

@@ -915,71 +915,47 @@ class DecisionPipeline:
                 served=decision.served_from_cache,
             )
         result.charge(
-            accounting, decision, peer_hits, outcome, retries, failed_loads
+            accounting,
+            decision,
+            peer_hits,
+            outcome,
+            retries,
+            failed_loads,
+            query.yield_bytes,
         )
         if self.instrumentation is not None:
             self.emit_decision(
-                index=index,
-                source=source,
-                policy_name=policy.name,
-                decision=decision,
-                accounting=accounting,
-                sql=query.sql,
-                yield_bytes=query.yield_bytes,
-                retries=retries,
-                outcome=outcome,
-                tenant=event.tenant,
-                shard=shard,
-                failed_loads=failed_loads,
-                peer_hits=peer_hits,
+                DecisionEvent(
+                    index=index,
+                    source=source,
+                    policy=policy.name,
+                    granularity=self.granularity,
+                    served_from_cache=decision.served_from_cache,
+                    loads=tuple(decision.loads),
+                    evictions=tuple(decision.evictions),
+                    load_bytes=accounting.load_bytes,
+                    bypass_bytes=accounting.bypass_bytes,
+                    weighted_cost=accounting.weighted_cost,
+                    sql=query.sql,
+                    yield_bytes=query.yield_bytes,
+                    retries=retries,
+                    retry_bytes=accounting.retry_bytes,
+                    outcome=outcome,
+                    tenant=event.tenant,
+                    shard=shard,
+                    peer_bytes=accounting.peer_bytes,
+                    failed_loads=failed_loads,
+                    peer_hits=peer_hits,
+                )
             )
         return decision, accounting
 
     # -- instrumentation -------------------------------------------------
 
-    def emit_decision(
-        self,
-        index: int,
-        source: str,
-        policy_name: str,
-        decision: Decision,
-        accounting: QueryAccounting,
-        sql: str = "",
-        yield_bytes: int = 0,
-        retries: int = 0,
-        outcome: str = "",
-        tenant: str = "",
-        shard: str = "",
-        failed_loads: int = 0,
-        peer_hits: int = 0,
-    ) -> None:
+    def emit_decision(self, event: DecisionEvent) -> None:
         """Forward one decision to the instrumentation sink, if any."""
-        if self.instrumentation is None:
-            return
-        self.instrumentation.record_decision(
-            DecisionEvent(
-                index=index,
-                source=source,
-                policy=policy_name,
-                granularity=self.granularity,
-                served_from_cache=decision.served_from_cache,
-                loads=tuple(decision.loads),
-                evictions=tuple(decision.evictions),
-                load_bytes=accounting.load_bytes,
-                bypass_bytes=accounting.bypass_bytes,
-                weighted_cost=accounting.weighted_cost,
-                sql=sql,
-                yield_bytes=yield_bytes,
-                retries=retries,
-                retry_bytes=accounting.retry_bytes,
-                outcome=outcome,
-                tenant=tenant,
-                shard=shard,
-                peer_bytes=accounting.peer_bytes,
-                failed_loads=failed_loads,
-                peer_hits=peer_hits,
-            )
-        )
+        if self.instrumentation is not None:
+            self.instrumentation.record_decision(event)
 
 
 def split_bypass_bytes(

@@ -39,13 +39,12 @@ if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
 
 from repro.core.events import CacheQuery
-from repro.core.instrumentation import Instrumentation
+from repro.core.instrumentation import DecisionEvent, Instrumentation
 from repro.core.pipeline import (
     OUTCOME_BYPASSED,
     OUTCOME_SERVED,
     OUTCOME_UNAVAILABLE,
     DecisionPipeline,
-    QueryAccounting,
 )
 from repro.core.units import ZERO_BYTES, ZERO_COST, RawBytes, WeightedCost
 from repro.core.policies.base import CachePolicy
@@ -300,28 +299,30 @@ class BypassYieldProxy:
             retries = transport.stats()["retries"] - retries_before
 
         self.pipeline.emit_decision(
-            index=index,
-            source="proxy",
-            policy_name=self.policy.name,
-            decision=decision,
-            accounting=QueryAccounting(
+            DecisionEvent(
+                index=index,
+                source="proxy",
+                policy=self.policy.name,
+                granularity=self.granularity,
+                served_from_cache=decision.served_from_cache,
+                loads=tuple(decision.loads),
+                evictions=tuple(decision.evictions),
                 load_bytes=load_bytes,
-                load_cost=load_cost,
                 bypass_bytes=bypass_bytes,
-                bypass_cost=bypass_cost,
+                weighted_cost=WeightedCost(
+                    load_cost + bypass_cost + retry_cost + peer_cost
+                ),
+                sql=sql,
+                yield_bytes=event.yield_bytes,
+                retries=retries,
                 retry_bytes=retry_bytes,
-                retry_cost=retry_cost,
+                # Fault-free events carry no outcome: pre-fault traces
+                # stay byte-identical.
+                outcome=outcome if transport is not None else "",
                 peer_bytes=peer_bytes,
-                peer_cost=peer_cost,
-            ),
-            sql=sql,
-            yield_bytes=event.yield_bytes,
-            retries=retries,
-            # Fault-free events carry no outcome: pre-fault traces stay
-            # byte-identical.
-            outcome=outcome if transport is not None else "",
-            failed_loads=len(failed_loads),
-            peer_hits=peer_hits,
+                failed_loads=len(failed_loads),
+                peer_hits=peer_hits,
+            )
         )
         return ProxyResponse(
             result=final_result,

@@ -14,6 +14,7 @@ sorted — so two identical runs render identical metrics pages.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import (
     Callable,
@@ -24,6 +25,8 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Type,
+    TypeVar,
     Union,
 )
 
@@ -34,6 +37,7 @@ from repro.errors import ConfigurationError
 DEFAULT_WINDOW = 256
 
 Number = Union[int, float]
+M = TypeVar("M", bound="Metric")
 
 
 def format_sample_value(value: float) -> str:
@@ -286,33 +290,25 @@ class MetricsRegistry:
         self._metrics: Dict[str, Metric] = {}
 
     def _get_or_create(
-        self, name: str, factory: Callable[[], Metric]
-    ) -> Metric:
+        self, kind: Type[M], name: str, *args: object
+    ) -> M:
+        """The metric registered as ``name``, built as
+        ``kind(name, *args)`` on first use."""
         existing = self._metrics.get(name)
-        if existing is not None:
-            wanted = factory()
-            if type(existing) is not type(wanted):
-                raise ConfigurationError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}, not "
-                    f"{type(wanted).__name__}"
-                )
-            return existing
-        created = factory()
-        self._metrics[name] = created
-        return created
+        if existing is None:
+            existing = self._metrics[name] = kind(name, *args)
+        elif type(existing) is not kind:
+            raise ConfigurationError(
+                f"metric {name!r} already registered as "
+                f"{type(existing).__name__}, not {kind.__name__}"
+            )
+        return existing  # type: ignore[return-value]
 
     def counter(self, name: str, help_text: str = "") -> Counter:
-        metric = self._get_or_create(
-            name, lambda: Counter(name, help_text)
-        )
-        assert isinstance(metric, Counter)
-        return metric
+        return self._get_or_create(Counter, name, help_text)
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name, help_text))
-        assert isinstance(metric, Gauge)
-        return metric
+        return self._get_or_create(Gauge, name, help_text)
 
     def windowed_gauge(
         self,
@@ -320,18 +316,10 @@ class MetricsRegistry:
         help_text: str = "",
         window: int = DEFAULT_WINDOW,
     ) -> WindowedGauge:
-        metric = self._get_or_create(
-            name, lambda: WindowedGauge(name, help_text, window)
-        )
-        assert isinstance(metric, WindowedGauge)
-        return metric
+        return self._get_or_create(WindowedGauge, name, help_text, window)
 
     def histogram(self, name: str, help_text: str = "") -> LogHistogram:
-        metric = self._get_or_create(
-            name, lambda: LogHistogram(name, help_text)
-        )
-        assert isinstance(metric, LogHistogram)
-        return metric
+        return self._get_or_create(LogHistogram, name, help_text)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -402,15 +390,88 @@ class MetricsRegistry:
             metric.merge_value(entry.get("value"))
 
 
+#: The rename table: which sink counter feeds which Prometheus series.
+#: ``Instrumentation.record_decision`` is the one fold of a decision
+#: into named counters; the probe mirrors those counters onto the
+#: scrape page under the (series, help text) below, so the page's
+#: tenant and shard partitions sum to their aggregates because the
+#: sink's do.  ``*`` is the tenant, shard or outcome segment.  Sink
+#: counters not listed (``fleet.peer_*``, ``fleet.clients``,
+#: ``mediator.*``) stay off the page.
+COUNTER_FAMILIES: Dict[str, Tuple[str, str]] = {
+    "decisions": ("decisions_total", "Queries decided"),
+    "decisions.served": (
+        "decisions_served_total", "Queries served from cache",
+    ),
+    "decisions.bypassed": ("decisions_bypassed_total", "Queries bypassed"),
+    "decisions.loads": ("loads_total", "Objects loaded into the cache"),
+    "decisions.evictions": ("evictions_total", "Objects evicted (churn)"),
+    "wan.load_bytes": ("wan_load_bytes_total", "WAN bytes spent on loads"),
+    "wan.bypass_bytes": (
+        "wan_bypass_bytes_total", "WAN bytes spent bypassing",
+    ),
+    "wan.weighted_cost": (
+        "wan_weighted_cost_total", "Link-weighted WAN cost",
+    ),
+    "decisions.retries": (
+        "retries_total",
+        "Transfer attempts beyond the first (fault retries)",
+    ),
+    "wan.retry_bytes": (
+        "wan_retry_bytes_total",
+        "WAN bytes wasted by failed attempts and discarded partials",
+    ),
+    "decisions.outcome.*": ("outcome_*_total", "Queries resolved as *"),
+    "tenant.*.decisions": (
+        'tenant_decisions_total{tenant="*"}',
+        "Queries decided, partitioned by tenant",
+    ),
+    "tenant.*.served": (
+        'tenant_served_total{tenant="*"}',
+        "Queries served from cache, partitioned by tenant",
+    ),
+    "tenant.*.wan_bytes": (
+        'tenant_wan_bytes_total{tenant="*"}',
+        "WAN bytes (loads + bypass + retry waste) per tenant",
+    ),
+    "tenant.*.weighted_cost": (
+        'tenant_weighted_cost_total{tenant="*"}',
+        "Link-weighted WAN cost per tenant",
+    ),
+    "fleet.shard.*.decisions": (
+        'shard_decisions_total{shard="*"}',
+        "Queries decided, partitioned by fleet shard",
+    ),
+    "fleet.shard.*.served": (
+        'shard_served_total{shard="*"}',
+        "Queries served from cache, partitioned by fleet shard",
+    ),
+    "fleet.shard.*.wan_bytes": (
+        'shard_wan_bytes_total{shard="*"}',
+        "WAN bytes (loads + bypass + retry waste) per fleet shard",
+    ),
+    "fleet.shard.*.peer_bytes": (
+        'shard_peer_bytes_total{shard="*"}',
+        "Bytes received from sibling shards over peer links",
+    ),
+}
+
+#: Resilience namespaces forwarded under their own (sanitized) names.
+_FAULT_NAMESPACES = ("transport.", "breaker.", "faults.")
+
+
 class MetricsProbe(Probe):
     """Feed a :class:`MetricsRegistry` from the instrumentation seam.
 
     Attach to an :class:`~repro.core.instrumentation.Instrumentation`
-    and every decision updates the paper's accounting quantities:
-    hit/bypass counters, WAN byte/cost totals, the per-query WAN and
-    yield distributions (log2 histograms), eviction churn, and — when
-    an ``occupancy`` callable is supplied (the proxy passes its cache
-    store) — a windowed cache-occupancy timeline.
+    and the paper's accounting quantities appear on the scrape page:
+    every sink counter :data:`COUNTER_FAMILIES` names is mirrored as it
+    is incremented (hit/bypass counts, WAN byte/cost totals, eviction
+    churn, the tenant and shard partitions), and every decision feeds
+    what is not a counter — the per-query WAN and yield distributions
+    (log2 histograms), the hit-rate gauge and, when an ``occupancy``
+    callable is supplied (the proxy passes its cache store), a
+    windowed cache-occupancy timeline.
     """
 
     def __init__(
@@ -422,31 +483,16 @@ class MetricsProbe(Probe):
     ) -> None:
         self.registry = registry
         self.occupancy = occupancy
-        p = prefix
-        self._decisions = registry.counter(
-            f"{p}_decisions_total", "Queries decided"
-        )
-        self._served = registry.counter(
-            f"{p}_decisions_served_total", "Queries served from cache"
-        )
-        self._bypassed = registry.counter(
-            f"{p}_decisions_bypassed_total", "Queries bypassed"
-        )
-        self._loads = registry.counter(
-            f"{p}_loads_total", "Objects loaded into the cache"
-        )
-        self._evictions = registry.counter(
-            f"{p}_evictions_total", "Objects evicted (churn)"
-        )
-        self._load_bytes = registry.counter(
-            f"{p}_wan_load_bytes_total", "WAN bytes spent on loads"
-        )
-        self._bypass_bytes = registry.counter(
-            f"{p}_wan_bypass_bytes_total", "WAN bytes spent bypassing"
-        )
-        self._weighted_cost = registry.counter(
-            f"{p}_wan_weighted_cost_total", "Link-weighted WAN cost"
-        )
+        self._prefix = p = prefix
+        #: sink counter name -> its registry counter (None: not exported).
+        self._mirrors: Dict[str, Optional[Counter]] = {}
+        # The unlabelled families exist from the start, so a scrape
+        # before the first decision shows zeros rather than gaps.
+        for name in COUNTER_FAMILIES:
+            if "*" not in name:
+                self._mirrors[name] = self._mirror_of(name)
+        self._decisions = registry.counter(f"{p}_decisions_total")
+        self._served = registry.counter(f"{p}_decisions_served_total")
         self._hit_rate = registry.gauge(
             f"{p}_hit_rate", "Served fraction of decided queries"
         )
@@ -462,143 +508,54 @@ class MetricsProbe(Probe):
             "Cache bytes in use (windowed timeline)",
             window=window,
         )
-        self._retries = registry.counter(
-            f"{p}_retries_total",
-            "Transfer attempts beyond the first (fault retries)",
-        )
-        self._retry_bytes = registry.counter(
-            f"{p}_wan_retry_bytes_total",
-            "WAN bytes wasted by failed attempts and discarded partials",
-        )
-        self._stage_prefix = f"{p}_stage"
-        self._prefix = p
+
+    def _mirror_of(self, name: str) -> Optional[Counter]:
+        """The registry counter that mirrors sink counter ``name``."""
+        if name.startswith(_FAULT_NAMESPACES):
+            return self.registry.counter(
+                f"{self._prefix}_{sanitize_metric_name(name)}_total",
+                f"Fault-layer counter {name}",
+            )
+        for pattern, (series, help_text) in COUNTER_FAMILIES.items():
+            match = re.fullmatch(
+                re.escape(pattern).replace(r"\*", "(.+)"), name
+            )
+            if match is not None:
+                segment = "".join(match.groups())
+                return self.registry.counter(
+                    f"{self._prefix}_{series.replace('*', segment)}",
+                    help_text.replace("*", segment),
+                )
+        return None
+
+    def on_counter(self, name: str, value: float) -> None:
+        """Mirror the sink counter under its Prometheus family."""
+        if value < 0 and name.startswith(_FAULT_NAMESPACES):
+            return
+        try:
+            counter = self._mirrors[name]
+        except KeyError:
+            counter = self._mirrors[name] = self._mirror_of(name)
+        if counter is not None:
+            counter.inc(value)
 
     def on_decision(self, event: DecisionEvent) -> None:
-        self._decisions.inc()
-        hit = event.hit
-        if hit:
-            self._served.inc()
-        else:
-            self._bypassed.inc()
-        net_loads = event.net_loads
-        if net_loads:
-            self._loads.inc(net_loads)
-        if event.evictions:
-            self._evictions.inc(len(event.evictions))
-        self._load_bytes.inc(event.load_bytes)
-        self._bypass_bytes.inc(event.bypass_bytes)
-        self._weighted_cost.inc(event.weighted_cost)
         self._wan_histogram.observe(event.wan_bytes)
         if event.yield_bytes:
             self._yield_histogram.observe(event.yield_bytes)
-        if event.retries:
-            self._retries.inc(event.retries)
-        if event.retry_bytes:
-            self._retry_bytes.inc(event.retry_bytes)
-        if event.outcome:
-            self.registry.counter(
-                f"{self._prefix}_outcome_"
-                f"{sanitize_metric_name(event.outcome)}_total",
-                f"Queries resolved as {event.outcome}",
-            ).inc()
-        self._attribute_tenant(event, hit)
-        if event.shard:
-            self._attribute_shard(event, hit)
         decided = self._decisions.value
         if decided:
             self._hit_rate.set(self._served.value / decided)
         if self.occupancy is not None:
             self._occupancy_gauge.set(float(self.occupancy()))
 
-    def _attribute_tenant(self, event: DecisionEvent, hit: bool) -> None:
-        """Charge the decision to its tenant via labeled counters.
-
-        Untagged traffic gets its own ``tenant="untagged"`` series, so
-        summing any tenant family over its labels reproduces the
-        aggregate counter exactly — the attribution is a partition, not
-        a sample.  Only :meth:`on_decision` writes these; the
-        ``tenant.*`` instrumentation counters are deliberately *not*
-        forwarded by :meth:`on_counter`, which would double-count.
-        """
-        tenant = event.tenant or "untagged"
-        label = f'{{tenant="{tenant}"}}'
-        p = self._prefix
-        self.registry.counter(
-            f"{p}_tenant_decisions_total{label}",
-            "Queries decided, partitioned by tenant",
-        ).inc()
-        if hit:
-            self.registry.counter(
-                f"{p}_tenant_served_total{label}",
-                "Queries served from cache, partitioned by tenant",
-            ).inc()
-        self.registry.counter(
-            f"{p}_tenant_wan_bytes_total{label}",
-            "WAN bytes (loads + bypass + retry waste) per tenant",
-        ).inc(event.wan_bytes)
-        self.registry.counter(
-            f"{p}_tenant_weighted_cost_total{label}",
-            "Link-weighted WAN cost per tenant",
-        ).inc(event.weighted_cost)
-
-    def _attribute_shard(self, event: DecisionEvent, hit: bool) -> None:
-        """Charge the decision to its fleet shard via labeled series.
-
-        Mirrors :meth:`_attribute_tenant`: only tagged (cooperative
-        fleet) decisions carry a shard, so independent runs add no
-        series, and summing a shard family over its labels reproduces
-        the aggregate exactly.  Peer bytes get their own family — they
-        ride the regional interconnect and must stay distinguishable
-        from WAN traffic on the scrape page.
-        """
-        label = f'{{shard="{event.shard}"}}'
-        p = self._prefix
-        self.registry.counter(
-            f"{p}_shard_decisions_total{label}",
-            "Queries decided, partitioned by fleet shard",
-        ).inc()
-        if hit:
-            self.registry.counter(
-                f"{p}_shard_served_total{label}",
-                "Queries served from cache, partitioned by fleet shard",
-            ).inc()
-        self.registry.counter(
-            f"{p}_shard_wan_bytes_total{label}",
-            "WAN bytes (loads + bypass + retry waste) per fleet shard",
-        ).inc(event.wan_bytes)
-        if event.peer_bytes:
-            self.registry.counter(
-                f"{p}_shard_peer_bytes_total{label}",
-                "Bytes received from sibling shards over peer links",
-            ).inc(event.peer_bytes)
-
-    def on_counter(self, name: str, value: float) -> None:
-        """Mirror fault-layer counters into the registry.
-
-        The transport/breaker/fault counters flow through the
-        instrumentation seam (``transport.*``, ``breaker.*``,
-        ``faults.*``, ``mediator.retries``/``retry_bytes``); everything
-        else already arrives aggregated via :meth:`on_decision`, so
-        only the resilience namespaces are forwarded — the scrape page
-        shows retransmissions and breaker churn without double-counting
-        decision traffic.
-        """
-        if not name.startswith(("transport.", "breaker.", "faults.")):
-            return
-        if value < 0:
-            return
-        self.registry.counter(
-            f"{self._prefix}_{sanitize_metric_name(name)}_total",
-            f"Fault-layer counter {name}",
-        ).inc(value)
-
     def on_stage(self, name: str, seconds: float) -> None:
         stage = sanitize_metric_name(name)
         self.registry.counter(
-            f"{self._stage_prefix}_{stage}_seconds_total",
+            f"{self._prefix}_stage_{stage}_seconds_total",
             f"Cumulative seconds in stage {name}",
         ).inc(seconds)
         self.registry.counter(
-            f"{self._stage_prefix}_{stage}_calls_total",
+            f"{self._prefix}_stage_{stage}_calls_total",
             f"Invocations of stage {name}",
         ).inc()

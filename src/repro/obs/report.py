@@ -51,77 +51,12 @@ from repro.sim.results import SimulationResult
 SERIES_POINTS = 512
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """The accounting quantities of one recorded run."""
-
-    queries: int
-    served: int
-    loads: int
-    evictions: int
-    load_bytes: int
-    bypass_bytes: int
-    weighted_cost: float
-    yield_bytes: int
-    served_yield_bytes: int
-    retries: int = 0
-    retry_bytes: int = 0
-    unavailable: int = 0
-
-    @property
-    def wan_bytes(self) -> int:
-        return self.load_bytes + self.bypass_bytes + self.retry_bytes
-
-    @property
-    def hit_rate(self) -> float:
-        return self.served / self.queries if self.queries else 0.0
-
-    @property
-    def availability(self) -> float:
-        """Fraction of queries that got an answer (full or partial)."""
-        if self.queries == 0:
-            return 1.0
-        return 1.0 - self.unavailable / self.queries
-
-    @property
-    def byte_yield_hit_rate(self) -> float:
-        """Realized yield-weighted hit rate: what fraction of result
-        bytes was produced without touching the WAN (the run-level
-        analogue of the paper's BYHR objective)."""
-        if self.yield_bytes == 0:
-            return 0.0
-        return self.served_yield_bytes / self.yield_bytes
-
-
-def summarize_events(events: Sequence[DecisionEvent]) -> RunMetrics:
-    """Fold a trace's events into the run's accounting quantities."""
-    queries = len(events)
-    served = sum(1 for e in events if e.hit)
-    return RunMetrics(
-        queries=queries,
-        served=served,
-        loads=sum(e.net_loads for e in events),
-        evictions=sum(len(e.evictions) for e in events),
-        load_bytes=sum(e.load_bytes for e in events),
-        bypass_bytes=sum(e.bypass_bytes for e in events),
-        weighted_cost=sum(e.weighted_cost for e in events),
-        yield_bytes=sum(e.yield_bytes for e in events),
-        served_yield_bytes=sum(
-            e.yield_bytes for e in events if e.hit
-        ),
-        retries=sum(e.retries for e in events),
-        retry_bytes=sum(e.retry_bytes for e in events),
-        unavailable=sum(
-            1 for e in events if e.outcome == "unavailable"
-        ),
-    )
-
-
 def result_from_trace(
     manifest: RunManifest, events: Sequence[DecisionEvent]
 ) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` view of a persisted trace,
-    so the standard dashboards (charts, breakdown tables) apply."""
+    """Rebuild the :class:`SimulationResult` of a persisted trace —
+    the one fold every report reads, charged by the method the live
+    run used."""
     result = SimulationResult(
         policy_name=manifest.policy,
         granularity=manifest.granularity,
@@ -144,7 +79,8 @@ def render_report(
     limit: int = 15,
 ) -> str:
     """The single-trace dashboard."""
-    metrics = summarize_events(events)
+    result = result_from_trace(manifest, events)
+    breakdown = result.breakdown
     sections: List[str] = [
         format_table(
             ["field", "value"],
@@ -156,21 +92,21 @@ def render_report(
         format_table(
             ["metric", "value"],
             [
-                ["queries", metrics.queries],
-                ["served from cache", metrics.served],
-                ["hit rate", round(metrics.hit_rate, 4)],
+                ["queries", result.queries],
+                ["served from cache", result.served_queries],
+                ["hit rate", round(result.hit_rate, 4)],
                 ["byte-yield hit rate",
-                 round(metrics.byte_yield_hit_rate, 4)],
-                ["object loads", metrics.loads],
-                ["evictions", metrics.evictions],
-                ["WAN load bytes", metrics.load_bytes],
-                ["WAN bypass bytes", metrics.bypass_bytes],
-                ["WAN retry bytes", metrics.retry_bytes],
-                ["WAN total bytes", metrics.wan_bytes],
-                ["weighted WAN cost", metrics.weighted_cost],
-                ["result yield bytes", metrics.yield_bytes],
-                ["retries", metrics.retries],
-                ["availability", round(metrics.availability, 4)],
+                 round(result.byte_yield_hit_rate, 4)],
+                ["object loads", result.loads],
+                ["evictions", result.evictions],
+                ["WAN load bytes", int(breakdown.load_bytes)],
+                ["WAN bypass bytes", int(breakdown.bypass_bytes)],
+                ["WAN retry bytes", int(breakdown.retry_bytes)],
+                ["WAN total bytes", int(result.total_bytes)],
+                ["weighted WAN cost", result.weighted_cost],
+                ["result yield bytes", result.yield_bytes],
+                ["retries", result.retries],
+                ["availability", round(result.availability, 4)],
             ],
             title="run summary",
         )
@@ -186,7 +122,6 @@ def render_report(
                 title="WAN distribution (log2 buckets)",
             )
         )
-        result = result_from_trace(manifest, events)
         sections.append(
             cost_series_chart(
                 {manifest.policy: result},
@@ -234,63 +169,31 @@ class MetricDelta:
         )
 
 
+#: What ``--diff`` compares: (metric, how it reads off a result, higher
+#: is better, gated).  Byte totals are integral floats and print as
+#: integers; a table cell prints a large float in %g.
+_DIFF_METRICS = (
+    ("wan_bytes", lambda r: int(r.total_bytes), False, True),
+    ("weighted_cost", lambda r: r.weighted_cost, False, True),
+    ("hit_rate", lambda r: r.hit_rate, True, True),
+    ("byte_yield_hit_rate", lambda r: r.byte_yield_hit_rate, True, True),
+    ("load_bytes", lambda r: int(r.breakdown.load_bytes), False, False),
+    ("bypass_bytes", lambda r: int(r.breakdown.bypass_bytes), False, False),
+    ("availability", lambda r: r.availability, True, True),
+    ("retry_bytes", lambda r: r.breakdown.retry_bytes, False, False),
+    ("retries", lambda r: float(r.retries), False, False),
+    ("evictions", lambda r: float(r.evictions), False, False),
+    ("queries", lambda r: float(r.queries), True, False),
+)
+
+
 def diff_metrics(
-    baseline: RunMetrics, candidate: RunMetrics
+    baseline: SimulationResult, candidate: SimulationResult
 ) -> List[MetricDelta]:
     """Per-metric comparison; gated rows drive the exit code."""
     return [
-        MetricDelta(
-            "wan_bytes", baseline.wan_bytes, candidate.wan_bytes,
-            higher_is_better=False, gated=True,
-        ),
-        MetricDelta(
-            "weighted_cost", baseline.weighted_cost,
-            candidate.weighted_cost,
-            higher_is_better=False, gated=True,
-        ),
-        MetricDelta(
-            "hit_rate", baseline.hit_rate, candidate.hit_rate,
-            higher_is_better=True, gated=True,
-        ),
-        MetricDelta(
-            "byte_yield_hit_rate", baseline.byte_yield_hit_rate,
-            candidate.byte_yield_hit_rate,
-            higher_is_better=True, gated=True,
-        ),
-        MetricDelta(
-            "load_bytes", baseline.load_bytes, candidate.load_bytes,
-            higher_is_better=False, gated=False,
-        ),
-        MetricDelta(
-            "bypass_bytes", baseline.bypass_bytes,
-            candidate.bypass_bytes,
-            higher_is_better=False, gated=False,
-        ),
-        MetricDelta(
-            "availability", baseline.availability,
-            candidate.availability,
-            higher_is_better=True, gated=True,
-        ),
-        MetricDelta(
-            "retry_bytes", float(baseline.retry_bytes),
-            float(candidate.retry_bytes),
-            higher_is_better=False, gated=False,
-        ),
-        MetricDelta(
-            "retries", float(baseline.retries),
-            float(candidate.retries),
-            higher_is_better=False, gated=False,
-        ),
-        MetricDelta(
-            "evictions", float(baseline.evictions),
-            float(candidate.evictions),
-            higher_is_better=False, gated=False,
-        ),
-        MetricDelta(
-            "queries", float(baseline.queries),
-            float(candidate.queries),
-            higher_is_better=True, gated=False,
-        ),
+        MetricDelta(name, read(baseline), read(candidate), higher, gated)
+        for name, read, higher, gated in _DIFF_METRICS
     ]
 
 
@@ -504,8 +407,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 base_manifest,
                 cand_manifest,
                 diff_metrics(
-                    summarize_events(base_events),
-                    summarize_events(cand_events),
+                    result_from_trace(base_manifest, base_events),
+                    result_from_trace(cand_manifest, cand_events),
                 ),
                 args.threshold / 100.0,
             )

@@ -42,15 +42,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from pathlib import Path
 from types import TracebackType
 from typing import (
     Dict,
-    IO,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -60,6 +57,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import JsonlReader, JsonlWriter
 
 #: Version tag carried by span-file headers.
 SPAN_SCHEMA = 1
@@ -511,7 +509,7 @@ def live_tracer(tracer: Optional[Tracer]) -> Optional[SpanTracer]:
 # ---------------------------------------------------------------------------
 
 
-class SpanWriter(SpanSink):
+class SpanWriter(JsonlWriter, SpanSink):
     """Stream spans to a JSONL file next to the decision trace.
 
     Format (one JSON object per line)::
@@ -523,14 +521,10 @@ class SpanWriter(SpanSink):
 
     Same-seed runs produce byte-identical files: ids, ticks, and byte
     counts are all deterministic, keys are sorted, and wall-clock
-    measurements never serialize.
-
-    Writes are serialized by a single internal lock (same discipline
-    as :class:`~repro.obs.trace_io.TraceWriter`): one writer may be
-    shared by several threads and every span line lands whole.  The
-    lock is in-process only — it does not arbitrate between processes.
-    ``append=True`` opens an existing file for appending and skips the
-    header when the file already has one.
+    measurements never serialize.  One writer may be shared by several
+    threads, and ``append=True`` opens an existing file for appending
+    and skips the header when the file already has one (see
+    :class:`~repro.obs.jsonl.JsonlWriter`).
     """
 
     def __init__(
@@ -540,10 +534,6 @@ class SpanWriter(SpanSink):
         extra: Optional[Mapping[str, object]] = None,
         append: bool = False,
     ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.spans_written = 0
-        self._lock = threading.Lock()
         header: Dict[str, object] = {
             "schema": SPAN_SCHEMA,
             "seed": tracer.seed,
@@ -552,103 +542,39 @@ class SpanWriter(SpanSink):
         }
         if extra:
             header.update(extra)
-        has_header = (
-            append
-            and self.path.exists()
-            and self.path.stat().st_size > 0
+        super().__init__(
+            path, {"span_trace": header}, "span writer", append
         )
-        self._handle: Optional[IO[str]] = self.path.open(
-            "a" if append else "w", encoding="utf-8"
-        )
-        if not has_header:
-            self._handle.write(
-                json.dumps({"span_trace": header}, sort_keys=True)
-                + "\n"
-            )
+        self._open(self.path)
+
+    @property
+    def spans_written(self) -> int:
+        return self._written
 
     def on_span(self, span: Span) -> None:
         self.write(span)
 
     def write(self, span: Span) -> None:
-        with self._lock:
-            if self._handle is None:
-                raise ConfigurationError(
-                    f"span writer for {self.path} is closed"
-                )
-            self._handle.write(
-                json.dumps(span.to_json(), sort_keys=True) + "\n"
-            )
-            self.spans_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "SpanWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        self.write_record(span.to_json())
 
 
-class SpanReader:
+class SpanReader(JsonlReader[Span]):
     """Read a span file written by :class:`SpanWriter`.
 
     The header is parsed eagerly (``reader.header``); spans stream
-    lazily.  A truncated trailing line (crash mid-write) does not
-    raise: iteration yields the complete prefix and sets
-    ``reader.truncated``.
+    lazily, a torn final line sets ``reader.truncated`` (see
+    :class:`~repro.obs.jsonl.JsonlReader`).
     """
 
+    header_key = "span_trace"
+    nouns = ("span file", "span trace", "span-trace header")
+
     def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        if not self.path.exists():
-            raise ConfigurationError(f"no such span file: {self.path}")
-        self.truncated = False
-        self.header = self._read_header()
-
-    def _read_header(self) -> Dict[str, object]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        if not first:
-            raise ConfigurationError(
-                f"{self.path}: empty file is not a span trace"
-            )
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{self.path}:1: invalid JSON in span-trace header"
-            ) from exc
-        if not isinstance(header, dict) or "span_trace" not in header:
-            raise ConfigurationError(
-                f"{self.path}:1: span-trace header must be a "
-                f'{{"span_trace": ...}} object'
-            )
-        meta = header["span_trace"]
-        return dict(meta) if isinstance(meta, dict) else {}
-
-    def __iter__(self) -> Iterator[Span]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            pending: Optional[Tuple[int, str]] = None
-            for line_no, line in enumerate(handle):
-                if line_no == 0:
-                    continue
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if pending is not None:
-                    yield self._parse(*pending)
-                pending = (line_no, stripped)
-            if pending is not None:
-                try:
-                    yield self._parse(*pending)
-                except ConfigurationError:
-                    # A malformed *final* line is a crash mid-write:
-                    # surface the complete prefix, flag the loss.
-                    self.truncated = True
+        super().__init__(path)
+        meta = self._read_header()
+        self.header: Dict[str, object] = (
+            dict(meta) if isinstance(meta, dict) else {}
+        )
 
     def _parse(self, line_no: int, line: str) -> Span:
         try:

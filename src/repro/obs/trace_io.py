@@ -18,17 +18,16 @@ exactly (tested round-trip), which is what makes cross-run diffing
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
-from types import TracebackType
-from typing import IO, Iterator, List, Optional, Tuple, Type, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.instrumentation import DecisionEvent, Probe
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import JsonlReader, JsonlWriter
 from repro.obs.manifest import RunManifest
 
 
-class TraceWriter(Probe):
+class TraceWriter(JsonlWriter, Probe):
     """Stream :class:`DecisionEvent` records to a JSONL trace file.
 
     Args:
@@ -41,20 +40,12 @@ class TraceWriter(Probe):
             on its own (and a partial set survives a crash).  Million-
             query replays otherwise produce one unwieldy multi-gigabyte
             file.  ``None`` (default) writes a single file at ``path``.
-        append: Open an existing trace for appending instead of
-            truncating; the manifest header is only written when the
-            file is new (or empty).  Incompatible with
-            ``rotate_events``.
+        append: As in :class:`~repro.obs.jsonl.JsonlWriter`;
+            incompatible with ``rotate_events``.
 
     Use as a context manager, or call :meth:`close` explicitly.  The
     writer flushes on close; ``events_written`` counts emitted records
     across all segments, and ``segments`` lists the files written.
-
-    Writes are serialized by a single internal lock, so one writer may
-    be shared by several threads (the mediator service's probes fire
-    from worker tasks); each event line lands whole and the reader
-    never sees interleaved records.  The lock is *in-process* only —
-    two processes appending to one file still corrupt it.
     """
 
     def __init__(
@@ -72,153 +63,65 @@ class TraceWriter(Probe):
             raise ConfigurationError(
                 "append mode cannot rotate segments"
             )
-        self.path = Path(path)
+        super().__init__(
+            path, {"manifest": manifest.to_json()}, "trace writer", append
+        )
         self.manifest = manifest
         self.rotate_events = rotate_events
-        self.append = append
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.events_written = 0
         self.segments: List[Path] = []
         self._events_in_segment = 0
-        self._handle: Optional[IO[str]] = None
-        self._lock = threading.Lock()
         self._open_segment()
 
-    def _segment_path(self, index: int) -> Path:
-        if self.rotate_events is None:
-            return self.path
-        return self.path.with_name(
-            f"{self.path.stem}.{index:05d}{self.path.suffix}"
-        )
+    @property
+    def events_written(self) -> int:
+        """Events emitted so far, across all segments."""
+        return self._written
 
     def _open_segment(self) -> None:
-        segment = self._segment_path(len(self.segments))
-        if self.append:
-            has_header = (
-                segment.exists() and segment.stat().st_size > 0
+        index = len(self.segments)
+        segment = self.path
+        if self.rotate_events is not None:
+            segment = self.path.with_name(
+                f"{self.path.stem}.{index:05d}{self.path.suffix}"
             )
-            self._handle = segment.open("a", encoding="utf-8")
-        else:
-            has_header = False
-            self._handle = segment.open("w", encoding="utf-8")
-        if not has_header:
-            self._handle.write(
-                json.dumps(
-                    {"manifest": self.manifest.to_json()},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        self._open(segment)
         self.segments.append(segment)
         self._events_in_segment = 0
 
-    # -- Probe interface -------------------------------------------------
+    def _before_line(self) -> None:
+        """Roll to the next segment when this one is full."""
+        if (
+            self.rotate_events is not None
+            and self._events_in_segment >= self.rotate_events
+        ):
+            assert self._handle is not None
+            self._handle.close()
+            self._open_segment()
+        self._events_in_segment += 1
 
     def on_decision(self, event: DecisionEvent) -> None:
         """Probe hook: stream each decision as it happens."""
         self.write(event)
 
-    # -- explicit API ----------------------------------------------------
-
     def write(self, event: DecisionEvent) -> None:
         """Append one event line, rolling the segment when full."""
-        with self._lock:
-            if self._handle is None:
-                raise ConfigurationError(
-                    f"trace writer for {self.path} is closed"
-                )
-            if (
-                self.rotate_events is not None
-                and self._events_in_segment >= self.rotate_events
-            ):
-                self._handle.close()
-                self._open_segment()
-            self._handle.write(
-                json.dumps(event.to_json(), sort_keys=True) + "\n"
-            )
-            self.events_written += 1
-            self._events_in_segment += 1
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
+        self.write_record(event.to_json())
 
 
-class TraceReader:
+class TraceReader(JsonlReader[DecisionEvent]):
     """Read a JSONL trace written by :class:`TraceWriter`.
 
     The manifest is parsed eagerly (``reader.manifest``); events stream
-    lazily through iteration, so summarizing a multi-gigabyte trace
-    never materializes it.
-
-    A malformed *final* line is a crash mid-write, not corruption:
-    iteration yields the complete prefix and sets ``truncated`` instead
-    of raising.  Malformed lines anywhere else still raise — an event
-    silently dropped from the middle of a trace would corrupt every
-    diff downstream.
+    lazily through iteration, a torn final line sets ``truncated`` (see
+    :class:`~repro.obs.jsonl.JsonlReader`).
     """
 
+    header_key = "manifest"
+    nouns = ("trace file", "trace", "trace header")
+
     def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        if not self.path.exists():
-            raise ConfigurationError(f"no such trace file: {self.path}")
-        #: True once iteration has discarded a truncated trailing line.
-        self.truncated = False
-        self.manifest = self._read_manifest()
-
-    def _read_manifest(self) -> RunManifest:
-        with self.path.open("r", encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        if not first:
-            raise ConfigurationError(
-                f"{self.path}: empty file is not a trace"
-            )
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{self.path}:1: invalid JSON in trace header"
-            ) from exc
-        if not isinstance(header, dict) or "manifest" not in header:
-            raise ConfigurationError(
-                f"{self.path}:1: trace header must be a "
-                f'{{"manifest": ...}} object'
-            )
-        return RunManifest.from_json(header["manifest"])
-
-    def __iter__(self) -> Iterator[DecisionEvent]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            # One line of lookahead: a parse failure is only tolerated
-            # when no complete line follows it (crash mid-write).
-            pending: Optional[Tuple[int, str]] = None
-            for line_no, line in enumerate(handle):
-                if line_no == 0:
-                    continue
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if pending is not None:
-                    yield self._parse(*pending)
-                pending = (line_no, stripped)
-            if pending is not None:
-                try:
-                    yield self._parse(*pending)
-                except ConfigurationError:
-                    self.truncated = True
+        super().__init__(path)
+        self.manifest = RunManifest.from_json(self._read_header())
 
     def _parse(self, line_no: int, line: str) -> DecisionEvent:
         try:

@@ -343,13 +343,24 @@ class MediatorService:
                         line.decode("latin-1").partition(":")
                     )
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                body = (
-                    await reader.readexactly(length) if length else b""
-                )
-                status, ctype, payload = await self._route(
-                    method.upper(), target.split("?", 1)[0], body
-                )
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body cannot be framed: answer, then hang up.
+                    status, ctype, payload = (
+                        "400 Bad Request",
+                        TEXT_CONTENT_TYPE,
+                        b"Content-Length must be a non-negative integer\n",
+                    )
+                else:
+                    body = (
+                        await reader.readexactly(length) if length else b""
+                    )
+                    status, ctype, payload = await self._route(
+                        method.upper(), target.split("?", 1)[0], body
+                    )
                 head = (
                     f"HTTP/1.1 {status}\r\n"
                     f"Content-Type: {ctype}\r\n"
@@ -358,7 +369,7 @@ class MediatorService:
                 )
                 writer.write(head.encode("latin-1") + payload)
                 await writer.drain()
-                if self._shutdown.is_set():
+                if length < 0 or self._shutdown.is_set():
                     break
         except (
             asyncio.IncompleteReadError,
@@ -406,11 +417,15 @@ class MediatorService:
     async def _route_query(
         self, body: bytes
     ) -> Tuple[str, str, bytes]:
-        lines = [
-            line
-            for line in body.decode("utf-8").splitlines()
-            if line.strip()
-        ]
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return (
+                "400 Bad Request",
+                TEXT_CONTENT_TYPE,
+                f"request body is not UTF-8: {exc.reason}\n".encode("utf-8"),
+            )
+        lines = [line for line in text.splitlines() if line.strip()]
         responses: List[str] = await asyncio.gather(
             *(
                 self._handle_line(line, line_no)

@@ -37,7 +37,9 @@ class CostBreakdown:
     def total_bytes(self) -> float:
         return self.bypass_bytes + self.load_bytes + self.retry_bytes
 
-    def charge(self, accounting: "QueryAccounting") -> None:
+    def charge(
+        self, accounting: "Union[QueryAccounting, DecisionEvent]"
+    ) -> None:
         """Accumulate one query's WAN charges into the breakdown.
 
         The only sanctioned mutation point: drivers must route per-query
@@ -78,6 +80,10 @@ class SimulationResult:
             ``cumulative_bytes`` (1 when every query is recorded; > 1
             under sampled recording).
         served_queries: Queries served from cache.
+        yield_bytes: Result bytes of every query, whichever path
+            served it.
+        served_yield_bytes: The share of ``yield_bytes`` produced by
+            queries served from cache.
         loads: Number of object loads.
         evictions: Number of evictions.
         retries: Transfer attempts beyond the first across the whole
@@ -112,6 +118,8 @@ class SimulationResult:
     cumulative_bytes: List[float] = field(default_factory=list)
     series_stride: int = 1
     served_queries: int = 0
+    yield_bytes: int = 0
+    served_yield_bytes: int = 0
     loads: int = 0
     evictions: int = 0
     retries: int = 0
@@ -134,6 +142,15 @@ class SimulationResult:
         return self.served_queries / self.queries
 
     @property
+    def byte_yield_hit_rate(self) -> float:
+        """Realized yield-weighted hit rate: what fraction of result
+        bytes was produced without touching the WAN (the run-level
+        analogue of the paper's BYHR objective)."""
+        if self.yield_bytes == 0:
+            return 0.0
+        return self.served_yield_bytes / self.yield_bytes
+
+    @property
     def availability(self) -> float:
         """Fraction of queries that got an answer (full or partial)."""
         if self.queries == 0:
@@ -149,12 +166,13 @@ class SimulationResult:
 
     def charge(
         self,
-        accounting: "QueryAccounting",
+        accounting: "Union[QueryAccounting, DecisionEvent]",
         decision: "Union[Decision, DecisionEvent]",
         peer_hits: int = 0,
         outcome: str = "",
         retries: int = 0,
         failed_loads: int = 0,
+        yield_bytes: int = 0,
     ) -> None:
         """Accumulate one query into the result.
 
@@ -162,7 +180,8 @@ class SimulationResult:
         load/eviction/hit counters on the result itself — keeping every
         per-query write inside the accounting classes (RPR004).
         ``peer_hits`` counts this query's loads that a sibling fleet
-        shard supplied (cooperative replays only).  Hit/availability
+        shard supplied (cooperative replays only), ``yield_bytes`` is
+        the query's result size.  Hit/availability
         counters follow the query's actual ``outcome`` when one is set
         — a serve degraded to "unavailable" by a dark backend is not a
         hit, whatever the policy intended — and the decision otherwise.
@@ -177,8 +196,10 @@ class SimulationResult:
             self.retries += retries
             self.failed_loads += failed_loads
             self.loads -= failed_loads
+        self.yield_bytes += yield_bytes
         if served_hit(decision.served_from_cache, outcome):
             self.served_queries += 1
+            self.served_yield_bytes += yield_bytes
         elif outcome == "partial":
             self.partial_queries += 1
         elif outcome == "unavailable":
@@ -196,39 +217,18 @@ class SimulationResult:
         )
 
     def charge_event(self, event: "DecisionEvent") -> None:
-        """Accumulate one persisted :class:`DecisionEvent`.
-
-        The trace-replay path (``repro-report`` rebuilding a result
-        from a JSONL trace) goes through here, keeping RPR004's
-        single-mutation-point discipline.  The event stores only the
-        *total* weighted cost, so it is charged as load cost with zero
-        bypass cost — the breakdown's weighted split is not
-        reconstructable from a trace, but every total is exact.
+        """:meth:`charge` one persisted :class:`DecisionEvent` — the
+        event is its own accounting and its own decision — and count
+        it (``repro-report`` rebuilding a result from a JSONL trace).
         """
-        from repro.core.pipeline import QueryAccounting
-        from repro.core.units import (
-            ZERO_COST,
-            RawBytes,
-            WeightedCost,
-        )
-
-        accounting = QueryAccounting(
-            load_bytes=RawBytes(event.load_bytes),
-            load_cost=WeightedCost(event.weighted_cost),
-            bypass_bytes=RawBytes(event.bypass_bytes),
-            bypass_cost=ZERO_COST,
-            retry_bytes=RawBytes(event.retry_bytes),
-            retry_cost=ZERO_COST,
-            peer_bytes=RawBytes(event.peer_bytes),
-            peer_cost=ZERO_COST,
-        )
         self.charge(
-            accounting,
             event,
-            peer_hits=event.peer_hits,
-            outcome=event.outcome,
-            retries=event.retries,
-            failed_loads=event.failed_loads,
+            event,
+            event.peer_hits,
+            event.outcome,
+            event.retries,
+            event.failed_loads,
+            event.yield_bytes,
         )
         self.queries += 1
 

@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     LogHistogram,
+    Metric,
     MetricsProbe,
     MetricsRegistry,
     WindowedGauge,
@@ -92,14 +93,24 @@ class TestPrimitives:
 
 
 class TestRegistry:
-    def test_get_or_create_is_idempotent(self):
+    def test_get_or_create_is_idempotent(self, monkeypatch):
         registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
+        first = registry.counter("c", "help")
+        # A hit is a dict lookup: no throwaway metric is constructed.
+        built = []
+        monkeypatch.setattr(
+            Metric, "__init__", lambda self, *args: built.append(self)
+        )
+        assert registry.counter("c") is first
+        assert built == []
 
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
         registry.counter("m")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError,
+            match="'m' already registered as Counter, not Gauge",
+        ):
             registry.gauge("m")
 
     def test_render_prometheus_format(self):

@@ -20,7 +20,6 @@ from repro.obs.report import (
     diff_metrics,
     main,
     result_from_trace,
-    summarize_events,
 )
 from repro.obs.trace_io import TraceWriter, read_trace
 from repro.sim.runner import run_single
@@ -50,6 +49,11 @@ def make_trace(n=30, name="report-unit"):
 
 def record_run(tmp_path, policy_name, filename=None):
     """Simulate one policy and persist its decision trace."""
+    return run_and_record(tmp_path, policy_name, filename)[0]
+
+
+def run_and_record(tmp_path, policy_name, filename=None):
+    """(trace path, live result) of one simulated policy."""
     federation = Federation.single_site(build_catalog(), "sdss")
     trace = make_trace()
     capacity = federation.total_database_bytes() // 3
@@ -63,7 +67,7 @@ def record_run(tmp_path, policy_name, filename=None):
     path = tmp_path / (filename or f"trace-{policy_name}.jsonl")
     with TraceWriter(path, manifest) as writer:
         sink.add_probe(writer)
-        run_single(
+        result = run_single(
             trace,
             federation,
             policy_name,
@@ -72,19 +76,20 @@ def record_run(tmp_path, policy_name, filename=None):
             record_series=False,
             instrumentation=sink,
         )
-    return path
+    return path, result
 
 
 class TestSummaries:
     def test_result_from_trace_matches_live_totals(self, tmp_path):
-        path = record_run(tmp_path, "rate-profile")
+        path, live = run_and_record(tmp_path, "rate-profile")
         manifest, events = read_trace(path)
         rebuilt = result_from_trace(manifest, events)
-        metrics = summarize_events(events)
-        assert rebuilt.queries == metrics.queries
-        assert rebuilt.total_bytes == metrics.wan_bytes
-        assert rebuilt.served_queries == metrics.served
-        assert rebuilt.cumulative_bytes[-1] == metrics.wan_bytes
+        assert rebuilt.queries == live.queries == len(events)
+        assert rebuilt.total_bytes == live.total_bytes
+        assert rebuilt.served_queries == live.served_queries
+        assert rebuilt.yield_bytes == live.yield_bytes == 30 * 120
+        assert rebuilt.byte_yield_hit_rate == live.byte_yield_hit_rate
+        assert rebuilt.cumulative_bytes[-1] == live.total_bytes
 
     def test_metric_delta_gating(self):
         worse = MetricDelta("m", 100.0, 110.0, False, True)
@@ -102,8 +107,12 @@ class TestSummaries:
         assert delta.is_regression(10.0)
 
     def test_diff_metrics_gated_set(self):
-        metrics = summarize_events([])
-        gated = {d.name for d in diff_metrics(metrics, metrics) if d.gated}
+        manifest = RunManifest(
+            workload="w", policy="p", granularity="table",
+            capacity_bytes=1,
+        )
+        empty = result_from_trace(manifest, [])
+        gated = {d.name for d in diff_metrics(empty, empty) if d.gated}
         assert gated == {
             "wan_bytes", "weighted_cost", "hit_rate",
             "byte_yield_hit_rate", "availability",

@@ -9,6 +9,7 @@ service-smoke job exercises from two processes.
 import asyncio
 import json
 import queue
+import socket
 import threading
 
 import pytest
@@ -147,6 +148,41 @@ class TestLiveServer:
             assert ok.status == "ok" and ok.tenant == "t-0"
             error = json.loads(lines[1])
             assert "invalid JSON" in error["error"]
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+            b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        ],
+        ids=["non-utf8-body", "non-numeric-length", "negative-length"],
+    )
+    def test_malformed_post_gets_400_and_service_keeps_serving(
+        self, prepared_trace, capacity, request_bytes
+    ):
+        with _ServerThread(capacity) as server:
+            host, port = server.url[len("http://"):].split(":")
+            with socket.create_connection((host, int(port)), 10) as sock:
+                sock.sendall(request_bytes)
+                sock.settimeout(10)
+                answer = sock.recv(4096)
+            status, _, rest = answer.partition(b"\r\n")
+            assert status == b"HTTP/1.1 400 Bad Request"
+            reason = rest.partition(b"\r\n\r\n")[2].decode("utf-8")
+            assert reason.endswith("\n") and reason.count("\n") == 1
+
+            # A fresh connection is served as if nothing happened.
+            report = loadgen.drive_http(
+                server.url,
+                MaterializedStream(prepared_trace),
+                serial=True,
+            )
+            assert len(report.responses) == len(prepared_trace)
+            assert not report.errors
+            metrics = loadgen.http_get(server.url, "/metrics")
+            assert f"repro_decisions_total {len(prepared_trace)}\n" in metrics
+            assert loadgen.check_conservation(metrics) == []
 
     def test_concurrent_tenants_conserve_over_http(
         self, prepared_trace, capacity
