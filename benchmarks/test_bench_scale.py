@@ -33,7 +33,7 @@ from repro.federation.mediator import Mediator
 from repro.sim.runner import build_policy, run_single
 from repro.sim.scale_run import _build_mediator
 from repro.sim.simulator import Simulator
-from repro.sqlengine import executor as _executor
+from repro.sqlengine import vectorized as _vectorized
 from repro.sqlengine.shapes import ShapePlanner
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import prepare_trace
@@ -117,7 +117,7 @@ def _run_legacy(num_queries: int, monkeypatch) -> Tuple[object, float]:
     mediator = _build_mediator(PROFILES["small"])
     legacy = _LegacyMediator(mediator.federation)
     monkeypatch.setattr(
-        _executor, "_vector_filtered_rows", lambda *args: None
+        _vectorized, "filtered_positions", lambda *args: None
     )
     config = TraceConfig(num_queries=num_queries, flavor="edr")
     start = time.perf_counter()

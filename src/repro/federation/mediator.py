@@ -23,7 +23,7 @@ control shedding overload to the bypass arm (DESIGN.md §15).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.units import (
@@ -443,8 +443,17 @@ class Mediator:
                     source=(entry.table_name, col.name),
                 )
             )
+        # A projection-only subplan: aggregation, DISTINCT, ordering and
+        # LIMIT happen at the mediator after the join.
         subplan = QueryPlan(
-            statement=plan.statement,
+            statement=replace(
+                plan.statement,
+                group_by=(),
+                having=None,
+                order_by=(),
+                limit=None,
+                distinct=False,
+            ),
             scope=local_entries,
             local_predicates={
                 entry.binding: plan.local_predicates.get(entry.binding, [])
@@ -455,9 +464,9 @@ class Mediator:
             outputs=outputs,
             has_aggregates=False,
         )
-        partial = _execute_subplan(subplan, server.catalog)
-        server.record_shipment(partial.byte_size)
-        return partial.byte_size
+        shipped = execute_plan(subplan, server.catalog).byte_size
+        server.record_shipment(shipped)
+        return shipped
 
     def _needed_columns(
         self,
@@ -503,20 +512,3 @@ class Mediator:
                 )
         return needed
 
-
-def _execute_subplan(subplan: QueryPlan, catalog) -> ResultSet:
-    """Run a projection-only subplan (no aggregates/order/limit applied —
-    those happen at the mediator after the join)."""
-    from repro.sqlengine.executor import (  # local import avoids a cycle
-        _join_all,
-        _project,
-        ResultColumn,
-    )
-
-    rows, layout = _join_all(subplan, catalog)
-    projected = _project(rows, layout, subplan.outputs)
-    columns = [
-        ResultColumn(name=out.name, width=out.width, source=out.source)
-        for out in subplan.outputs
-    ]
-    return ResultSet(columns=columns, rows=projected)

@@ -4,14 +4,33 @@ The executor consumes a :class:`~repro.sqlengine.planner.QueryPlan` and a
 table provider (anything with ``table(name) -> Table``) and produces a
 :class:`ResultSet` whose exact byte size is the query's *yield* in the
 bypass-yield model.
+
+Scans return row *positions*.  When the plan's shape lets the result's
+cardinality be read off positions and cached key arrays
+(:func:`_cardinality`), the yield is known without a tuple existing and
+the rows are built (:func:`_materialise`) on the first read of
+``ResultSet.rows``; any other plan is materialised at once by the same
+function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ExecutionError, PlanError
+from repro.sqlengine import vectorized
 from repro.sqlengine.ast_nodes import (
     BetweenOp,
     BinaryOp,
@@ -23,7 +42,6 @@ from repro.sqlengine.ast_nodes import (
     Literal,
     OrderItem,
     UnaryOp,
-    is_aggregate,
 )
 from repro.sqlengine.expressions import RowLayout, compile_expr
 from repro.sqlengine.functions import make_aggregate
@@ -37,7 +55,7 @@ from repro.sqlengine.planner import (
     plan_select,
 )
 from repro.sqlengine.storage import Table
-from repro.sqlengine.vectorized import filtered_rows as _vector_filtered_rows
+from repro.sqlengine.types import ColumnType
 
 #: Scan-path observer: ``(table_name, path)`` with path one of
 #: ``"index"`` (hash-index probe), ``"vectorized"`` (columnar mask
@@ -77,16 +95,42 @@ class ResultColumn:
     source: Optional[Tuple[str, str]] = None
 
 
-@dataclass
 class ResultSet:
-    """Materialized query result with exact byte accounting."""
+    """Query result with exact byte accounting.
 
-    columns: List[ResultColumn]
-    rows: List[Tuple[Any, ...]]
+    ``row_count`` and ``byte_size`` are known from the start; a result
+    made by :meth:`counted` builds its tuples on the first read of
+    :attr:`rows`.
+    """
+
+    __slots__ = ("columns", "row_count", "_rows", "_build")
+
+    def __init__(
+        self, columns: List[ResultColumn], rows: List[Tuple[Any, ...]]
+    ) -> None:
+        self.columns = columns
+        self.row_count = len(rows)
+        self._rows: Optional[List[Tuple[Any, ...]]] = rows
+        self._build: Optional[Callable[[], List[Tuple[Any, ...]]]] = None
+
+    @classmethod
+    def counted(
+        cls,
+        columns: List[ResultColumn],
+        row_count: int,
+        build: Callable[[], List[Tuple[Any, ...]]],
+    ) -> "ResultSet":
+        """A result of ``row_count`` rows that ``build()`` will return."""
+        result = cls(columns, [])
+        result.row_count, result._rows, result._build = row_count, None, build
+        return result
 
     @property
-    def row_count(self) -> int:
-        return len(self.rows)
+    def rows(self) -> List[Tuple[Any, ...]]:
+        if self._rows is None:
+            assert self._build is not None
+            self._rows, self._build = self._build(), None
+        return self._rows
 
     @property
     def row_width(self) -> int:
@@ -95,7 +139,7 @@ class ResultSet:
     @property
     def byte_size(self) -> int:
         """The query's yield: result bytes shipped to the application."""
-        return self.row_width * len(self.rows)
+        return self.row_width * self.row_count
 
     def column_names(self) -> List[str]:
         return [col.name for col in self.columns]
@@ -133,7 +177,27 @@ class QueryEngine:
 
 def execute_plan(plan: QueryPlan, provider: Any) -> ResultSet:
     """Run a bound plan against ``provider`` (``table(name) -> Table``)."""
-    rows, layout = _join_all(plan, provider)
+    scans = [
+        _scan(entry, plan.local_predicates.get(entry.binding, []), provider)
+        for entry in plan.scope
+    ]
+    columns = [
+        ResultColumn(name=out.name, width=out.width, source=out.source)
+        for out in plan.outputs
+    ]
+    count = _cardinality(plan, scans)
+    if count is None:
+        return ResultSet(columns, _materialise(plan, scans))
+    return ResultSet.counted(
+        columns, count, partial(_materialise, plan, scans)
+    )
+
+
+def _materialise(
+    plan: QueryPlan, scans: List["_Scan"]
+) -> List[Tuple[Any, ...]]:
+    """The result's tuples: join, filter, aggregate, project, order."""
+    rows, layout = _join_all(plan, scans)
 
     if plan.residual_predicates:
         rows = _filter(rows, plan.residual_predicates, layout)
@@ -158,62 +222,217 @@ def execute_plan(plan: QueryPlan, provider: Any) -> ResultSet:
 
     if plan.statement.limit is not None:
         projected = projected[: plan.statement.limit]
+    return projected
 
-    columns = [
-        ResultColumn(name=out.name, width=out.width, source=out.source)
-        for out in outputs
-    ]
-    return ResultSet(columns=columns, rows=projected)
+
+# ----------------------------------------------------------------------
+# Cardinality without rows
+# ----------------------------------------------------------------------
+
+def _cardinality(plan: QueryPlan, scans: List["_Scan"]) -> Optional[int]:
+    """The result's row count from positions alone, or ``None``: build it.
+
+    Answers only for a plan whose materialisation cannot raise once the
+    checks here have passed.  The tail's statement-only errors are
+    raised from here by running :func:`_aggregate` and :func:`_order`
+    over no rows, and every expression the tail would evaluate per row
+    must be one that cannot fail (:func:`_cannot_raise`); so a caller
+    that reads only the count meets exactly the errors a reader of the
+    rows would.
+    """
+    statement = plan.statement
+    if (
+        not vectorized.HAVE_NUMPY
+        or plan.residual_predicates
+        or statement.distinct
+        or statement.having is not None
+    ):
+        return None
+    count = _joined_count(plan, scans)
+    if count is None:
+        return None
+    outputs = plan.outputs
+    order_exprs = [item.expr for item in statement.order_by]
+    scope: Sequence[ScopeEntry] = plan.scope
+    layout = scans[0].layout
+    if plan.has_aggregates or order_exprs:
+        for scan in scans[1:]:
+            layout = _merge_layouts(layout, scan.layout)
+    if plan.has_aggregates:
+        count = _group_count(plan, scans)
+        if count is None:
+            return None
+        _, layout, outputs, order_exprs = _aggregate(plan, [], layout)
+        # Over the aggregated layout only a value taken as it is cannot
+        # fail (MIN(name) + 1 would): no column is numeric here.
+        scope = ()
+    if not all(_cannot_raise(out.expr, scope) for out in outputs):
+        return None
+    if order_exprs:
+        _order(
+            [], [], layout, outputs, order_exprs, statement.order_by,
+            plan.has_aggregates, False,
+        )
+        if not all(_cannot_raise(expr, scope) for expr in order_exprs):
+            return None
+    if statement.limit is not None:
+        count = min(count, statement.limit)
+    return count
+
+
+def _joined_count(plan: QueryPlan, scans: List["_Scan"]) -> Optional[int]:
+    """Rows the scans join to: one scan, or two inner-joined on one
+    key column (anything else is joined as rows)."""
+    if len(scans) == 1:
+        return scans[0].count
+    if len(scans) != 2 or len(plan.join_edges) != 1:
+        return None  # LEFT JOIN and cartesian products have no edge
+    left, right = scans
+    if not left.count or not right.count:
+        return 0
+    (edge,), _ = _edges_for(
+        plan.join_edges, {plan.scope[0].binding.lower()},
+        plan.scope[1].binding,
+    )
+    return vectorized.equi_join_count(
+        (left.table, edge.left_column, left.positions),
+        (right.table, edge.right_column, right.positions),
+    )
+
+
+def _group_count(plan: QueryPlan, scans: List["_Scan"]) -> Optional[int]:
+    """How many groups an aggregate plan without HAVING makes, or
+    ``None``: an argument could fail, or the keys are not bare columns
+    of one scan."""
+    calls: List[FuncCall] = []
+    for out in plan.outputs:
+        _collect_aggregates(out.expr, calls)
+    for item in plan.statement.order_by:
+        _collect_aggregates(item.expr, calls)
+    for call in calls:
+        if call.star or len(call.args) != 1:
+            continue  # the arity error is _aggregate's to raise
+        # SUM concatenates strings and MIN/MAX compare them; AVG divides.
+        check = _is_numeric if call.name.lower() == "avg" else _cannot_raise
+        if not check(call.args[0], plan.scope):
+            return None
+    group_by = plan.statement.group_by
+    if not group_by:
+        return 1  # also over an empty input
+    if len(scans) != 1 or not all(
+        isinstance(expr, ColumnRef) for expr in group_by
+    ):
+        return None
+    return vectorized.group_count(
+        scans[0].table,
+        [expr.column for expr in group_by],
+        scans[0].positions,
+    )
+
+
+def _cannot_raise(expr: Expr, scope: Sequence[ScopeEntry]) -> bool:
+    """Whether evaluating ``expr`` on any row is certain not to fail:
+    a bare column, a literal, or arithmetic over numeric operands."""
+    return isinstance(expr, (ColumnRef, Literal)) or _is_numeric(expr, scope)
+
+
+def _is_numeric(expr: Expr, scope: Sequence[ScopeEntry]) -> bool:
+    """``+ - * / %`` over numeric-typed columns of ``scope`` and number
+    (or NULL) literals: NULL propagates and a zero divisor gives NULL."""
+    if isinstance(expr, Literal):
+        return expr.value is None or isinstance(expr.value, (int, float))
+    if isinstance(expr, ColumnRef):
+        # Every column the name can mean: an ambiguous one never gets
+        # here (the planner, or ORDER BY resolution, refuses it first).
+        types = [
+            entry.schema.column(expr.column).ctype
+            for entry in scope
+            if expr.column in entry.schema
+            and (expr.table or entry.binding).lower() == entry.binding.lower()
+        ]
+        return bool(types) and ColumnType.STRING not in types
+    if isinstance(expr, UnaryOp):
+        return expr.op == "-" and _is_numeric(expr.operand, scope)
+    if isinstance(expr, BinaryOp):
+        return (
+            expr.op in ("+", "-", "*", "/", "%")
+            and _is_numeric(expr.left, scope)
+            and _is_numeric(expr.right, scope)
+        )
+    return False
 
 
 # ----------------------------------------------------------------------
 # Scan and join
 # ----------------------------------------------------------------------
 
+class _Scan(NamedTuple):
+    """One table's rows that passed its pushed-down predicates."""
+
+    table: Table
+    #: Ascending row positions; ``None``: every row.
+    positions: Optional[Any]
+    count: int
+    layout: RowLayout
+
+    def rows(self) -> List[Tuple[Any, ...]]:
+        rows = self.table.materialized_rows()
+        positions = self.positions
+        if positions is None:
+            # Tables only grow: rows inserted since the scan are not its.
+            return rows if len(rows) == self.count else rows[: self.count]
+        if not isinstance(positions, list):
+            positions = positions.tolist()
+        return [rows[position] for position in positions]
+
+
 def _scan(
     entry: ScopeEntry, predicates: List[Expr], provider: Any
-) -> Tuple[List[Tuple[Any, ...]], RowLayout]:
+) -> _Scan:
     """Scan one table, applying its pushed-down local predicates.
 
     When a predicate is an equality against a literal on an indexed
-    column, the hash index supplies the candidate rows and only the
-    remaining predicates are evaluated.
+    column, the hash index supplies the candidate positions and only
+    the remaining predicates are evaluated, row at a time.  Otherwise
+    the predicates become one columnar mask; what the vectorizer
+    declines (numpy absent, expression not vectorizable) is filtered
+    row at a time.
     """
     table: Table = provider.table(entry.table_name)
-    layout = RowLayout()
-    for col in entry.schema.columns:
-        layout.add(entry.binding, col.name)
-
-    rows: Optional[List[Tuple[Any, ...]]] = None
+    layout = entry.layout
+    positions: Optional[Any] = None
     remaining = predicates
     scan_path = "rowpath"
     probe = _index_probe(predicates, table)
     if probe is not None:
-        rows, used_predicate = probe
+        positions, used_predicate = probe
         remaining = [p for p in predicates if p is not used_predicate]
         scan_path = "index"
-    if rows is None:
-        if remaining:
-            # Columnar fast path: predicate masks over cached numpy
-            # column arrays.  Returns None (numpy absent, expression
-            # not vectorizable) to keep the row-at-a-time path.
-            vectorized = _vector_filtered_rows(table, remaining, layout)
-            if vectorized is not None:
-                if _SCAN_OBSERVER is not None:
-                    _SCAN_OBSERVER(entry.table_name, "vectorized")
-                return vectorized, layout
-        rows = table.materialized_rows()
+    elif predicates:
+        positions = vectorized.filtered_positions(table, predicates, layout)
+        if positions is not None:
+            remaining = []
+            scan_path = "vectorized"
     if remaining:
-        rows = _filter(rows, remaining, layout)
+        rows = table.materialized_rows()
+        compiled = [compile_expr(pred, layout) for pred in remaining]
+        positions = [
+            position
+            for position in (
+                range(len(rows)) if positions is None else positions
+            )
+            if all(func(rows[position]) is True for func in compiled)
+        ]
     if _SCAN_OBSERVER is not None:
         _SCAN_OBSERVER(entry.table_name, scan_path)
-    return rows, layout
+    count = table.row_count if positions is None else len(positions)
+    return _Scan(table, positions, count, layout)
 
 
 def _index_probe(
     predicates: List[Expr], table: Table
-) -> Optional[Tuple[List[Tuple[Any, ...]], Expr]]:
-    """(matching rows, predicate served by the index) or None."""
+) -> Optional[Tuple[List[int], Expr]]:
+    """(matching positions, predicate served by the index) or None."""
     for predicate in predicates:
         if not (
             isinstance(predicate, BinaryOp) and predicate.op == "="
@@ -229,7 +448,7 @@ def _index_probe(
                 and isinstance(value_side, Literal)
             ):
                 continue
-            matches = table.index_lookup(
+            matches = table.index_positions(
                 column_side.column, value_side.value
             )
             if matches is not None:
@@ -238,22 +457,17 @@ def _index_probe(
 
 
 def _join_all(
-    plan: QueryPlan, provider: Any
+    plan: QueryPlan, scans: List[_Scan]
 ) -> Tuple[List[Tuple[Any, ...]], RowLayout]:
-    """Join all scope relations left-to-right using hash joins on the
+    """Join the scans' rows left-to-right using hash joins on the
     extracted equi-join edges (cartesian product when no edge applies)."""
     entries = plan.scope
-    rows, layout = _scan(
-        entries[0], plan.local_predicates.get(entries[0].binding, []),
-        provider,
-    )
+    rows, layout = scans[0].rows(), scans[0].layout
     joined = {entries[0].binding.lower()}
     remaining_edges = list(plan.join_edges)
 
-    for entry in entries[1:]:
-        right_rows, right_layout = _scan(
-            entry, plan.local_predicates.get(entry.binding, []), provider
-        )
+    for entry, scan in zip(entries[1:], scans[1:]):
+        right_rows, right_layout = scan.rows(), scan.layout
         merged_layout = _merge_layouts(layout, right_layout)
         if entry.join_kind == "left":
             rows = _left_outer_join(
@@ -328,6 +542,27 @@ def _merge_layouts(left: RowLayout, right: RowLayout) -> RowLayout:
     return merged
 
 
+def _hash_index(
+    rows: List[Tuple[Any, ...]], positions: List[int]
+) -> Dict[Any, List[Tuple[Any, ...]]]:
+    """``rows`` by their key ``itemgetter(*positions)``: the value of
+    one column, the tuple of several.
+
+    NULL never joins: keys holding one are dropped, so a probe with a
+    NULL finds nothing.
+    """
+    key_of = itemgetter(*positions)
+    index: Dict[Any, List[Tuple[Any, ...]]] = {}
+    for row in rows:
+        index.setdefault(key_of(row), []).append(row)
+    if len(positions) == 1:
+        index.pop(None, None)
+    else:
+        for key in [key for key in index if None in key]:
+            del index[key]
+    return index
+
+
 def _hash_join(
     left_rows: List[Tuple[Any, ...]],
     left_layout: RowLayout,
@@ -336,28 +571,24 @@ def _hash_join(
     edges: List[JoinEdge],
     right_binding: str,
 ) -> List[Tuple[Any, ...]]:
-    left_positions = [
-        left_layout.position(edge.left_column, edge.left_binding)
-        for edge in edges
+    left_key = itemgetter(
+        *(
+            left_layout.position(edge.left_column, edge.left_binding)
+            for edge in edges
+        )
+    )
+    index = _hash_index(
+        right_rows,
+        [
+            right_layout.position(edge.right_column, right_binding)
+            for edge in edges
+        ],
+    )
+    return [
+        row + match
+        for row in left_rows
+        for match in index.get(left_key(row), ())
     ]
-    right_positions = [
-        right_layout.position(edge.right_column, right_binding)
-        for edge in edges
-    ]
-    index: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right_rows:
-        key = tuple(row[p] for p in right_positions)
-        if any(value is None for value in key):
-            continue  # NULL never joins
-        index.setdefault(key, []).append(row)
-    output: List[Tuple[Any, ...]] = []
-    for row in left_rows:
-        key = tuple(row[p] for p in left_positions)
-        if any(value is None for value in key):
-            continue
-        for match in index.get(key, ()):
-            output.append(row + match)
-    return output
 
 
 def _left_outer_join(
@@ -398,22 +629,15 @@ def _left_outer_join(
     ]
     padding = (None,) * right_layout.width
 
-    index: Optional[Dict[Tuple[Any, ...], List[Tuple[Any, ...]]]] = None
+    index: Optional[Dict[Any, List[Tuple[Any, ...]]]] = None
     if left_positions:
-        index = {}
-        for row in right_rows:
-            key = tuple(row[p] for p in right_positions)
-            if any(value is None for value in key):
-                continue
-            index.setdefault(key, []).append(row)
+        left_key = itemgetter(*left_positions)
+        index = _hash_index(right_rows, right_positions)
 
     output: List[Tuple[Any, ...]] = []
     for left_row in left_rows:
         if index is not None:
-            key = tuple(left_row[p] for p in left_positions)
-            candidates = (
-                [] if any(v is None for v in key) else index.get(key, [])
-            )
+            candidates = index.get(left_key(left_row), [])
         else:
             candidates = right_rows
         matched = False

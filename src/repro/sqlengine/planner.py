@@ -16,6 +16,7 @@ The planner turns a parsed :class:`SelectStatement` into a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -39,7 +40,7 @@ from repro.sqlengine.ast_nodes import (
     column_refs,
     is_aggregate,
 )
-from repro.sqlengine.expressions import split_conjuncts
+from repro.sqlengine.expressions import RowLayout, split_conjuncts
 from repro.sqlengine.schema import TableSchema
 
 _Fact = TypeVar("_Fact")
@@ -60,6 +61,14 @@ class ScopeEntry:
     schema: TableSchema
     join_kind: str = "inner"
     join_condition: Optional[Expr] = None
+
+    @cached_property
+    def layout(self) -> RowLayout:
+        """The row layout of this relation's scan (shared: read-only)."""
+        layout = RowLayout()
+        for col in self.schema.columns:
+            layout.add(self.binding, col.name)
+        return layout
 
 
 @dataclass(frozen=True)

@@ -135,22 +135,32 @@ class Table:
     def _indexed_columns(self) -> List[str]:
         return list(self._indexes)
 
-    def index_lookup(
+    def index_positions(
         self, column_name: str, value: Any
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """Rows whose ``column_name`` equals ``value``, via the index.
+    ) -> Optional[List[int]]:
+        """Positions of the rows whose ``column_name`` equals ``value``,
+        via the index, in row order.
 
         Returns None when the column is not indexed (caller falls back
         to a scan); an empty list is a definitive no-match answer.
         """
-        key = column_name.lower()
-        index = self._indexes.get(key)
+        index = self._indexes.get(column_name.lower())
         if index is None:
             return None
         if value is None:
             return []
+        # A copy: inserts append to the index's own lists.
+        return list(index.get(value, ()))
+
+    def index_lookup(
+        self, column_name: str, value: Any
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """The rows at :meth:`index_positions` (None when not indexed)."""
+        positions = self.index_positions(column_name, value)
+        if positions is None:
+            return None
         rows = self.materialized_rows()
-        return [rows[position] for position in index.get(value, ())]
+        return [rows[position] for position in positions]
 
     def row_at(self, index: int) -> Tuple[Any, ...]:
         """Random access to one row."""

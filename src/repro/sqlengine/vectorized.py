@@ -5,8 +5,11 @@ but the scan+filter stage dominates exact-yield execution on large
 tables.  This module evaluates a scan's pushed-down predicates over
 whole columns at once: each table column is lowered to a numpy array
 (plus a NULL mask) once and cached until the table changes, and the
-conjunction of predicates becomes one boolean mask whose surviving row
-indices drive tuple construction.
+conjunction of predicates becomes one boolean mask whose nonzero
+indices are the surviving row *positions*.  The same cached arrays
+answer what the executor asks about positions without building a row:
+how many pairs an equi-join matches and how many groups a GROUP BY
+makes.
 
 SQL three-valued logic is preserved exactly: every boolean expression
 evaluates to a pair of masks ``(true, unknown)``, mirroring the
@@ -23,7 +26,10 @@ The module degrades gracefully, never wrongly:
   back;
 * integer columns whose magnitude exceeds the float64-exact range
   (2**53) are kept as object arrays so comparisons never lose
-  precision.
+  precision, and integer arithmetic whose result could leave that
+  range (``id * 9223372036854775807``: int64 wraps where Python ints
+  grow) is declined;
+* join and group keys over object arrays are declined.
 
 Equivalence with the row path is pinned down by the differential suite
 in ``tests/sqlengine/test_vectorized.py``.
@@ -47,17 +53,24 @@ from repro.sqlengine.ast_nodes import (
 from repro.sqlengine.expressions import RowLayout
 from repro.sqlengine.storage import Table
 
-try:  # pragma: no cover - exercised via both CI environments
+try:
     import numpy as _np
-except ImportError:  # pragma: no cover
+except ImportError:  # pragma: no cover - the CI leg without numpy
     _np = None  # type: ignore[assignment]
 
 HAVE_NUMPY = _np is not None
 
-__all__ = ["HAVE_NUMPY", "Unvectorizable", "filtered_rows"]
+__all__ = [
+    "HAVE_NUMPY",
+    "Unvectorizable",
+    "equi_join_count",
+    "filtered_positions",
+    "group_count",
+]
 
 #: Largest integer float64 represents exactly; beyond it int columns
-#: stay as object arrays rather than risk lossy comparisons.
+#: stay as object arrays rather than risk lossy comparisons, and integer
+#: arithmetic that could pass it is not vectorized.
 _FLOAT64_EXACT = 2 ** 53
 
 
@@ -66,13 +79,21 @@ class Unvectorizable(Exception):
 
 
 class _ColumnVector:
-    """One column lowered to arrays: values plus a NULL mask."""
+    """One column lowered to arrays: values plus a NULL mask.
 
-    __slots__ = ("values", "nulls")
+    ``peak`` is the largest magnitude of an int64 column (``None`` for
+    float and object arrays): what integer arithmetic over it is
+    bounded by.
+    """
 
-    def __init__(self, values: Any, nulls: Any) -> None:
+    __slots__ = ("values", "nulls", "peak")
+
+    def __init__(
+        self, values: Any, nulls: Any, peak: Optional[int] = None
+    ) -> None:
         self.values = values
         self.nulls = nulls
+        self.peak = peak
 
 
 # Per-table cache of lowered columns, invalidated by Table.version.
@@ -103,7 +124,7 @@ def _lower_column(values: Sequence[Any]) -> _ColumnVector:
             array = _np.fromiter(
                 filled, dtype=_np.int64, count=len(values)
             )
-            return _ColumnVector(array, nulls)
+            return _ColumnVector(array, nulls, peak)
     elif kinds <= {int, float}:
         peak = max(
             (
@@ -168,37 +189,51 @@ class _Evaluator:
 
     def value(self, expr: Expr) -> Tuple[Any, Any]:
         """Evaluate a value expression to (values, null-mask)."""
+        values, nulls, _bound = self._bounded(expr)
+        return values, nulls
+
+    def _bounded(self, expr: Expr) -> Tuple[Any, Any, Optional[int]]:
+        """(values, null-mask, bound): ``bound`` is the magnitude an
+        integer-valued result cannot exceed, ``None`` for any other.
+
+        int64 wraps where Python ints grow, and an int64 past 2**53
+        compares lossily with a float, so an integer that could leave
+        the float64-exact range is not vectorized.
+        """
         if isinstance(expr, Literal):
             if expr.value is None:
-                return 0, True
-            return expr.value, False
+                return 0, True, None
+            if isinstance(expr.value, int):
+                return expr.value, False, _exact(abs(expr.value))
+            return expr.value, False, None
         if isinstance(expr, ColumnRef):
             position = self._layout.position(expr.column, expr.table)
             key = self._table.schema.columns[position].key
             vector = _column_vector(self._table, key)
-            return vector.values, vector.nulls
+            return vector.values, vector.nulls, vector.peak
         if isinstance(expr, UnaryOp) and expr.op == "-":
-            values, nulls = self.value(expr.operand)
-            return -values, nulls
+            values, nulls, bound = self._bounded(expr.operand)
+            return -values, nulls, bound
         if isinstance(expr, BinaryOp) and expr.op in "+-*/%":
-            left, left_nulls = self.value(expr.left)
-            right, right_nulls = self.value(expr.right)
+            left, left_nulls, left_bound = self._bounded(expr.left)
+            right, right_nulls, right_bound = self._bounded(expr.right)
             nulls = left_nulls | right_nulls
-            if expr.op == "+":
-                return left + right, nulls
-            if expr.op == "-":
-                return left - right, nulls
+            integers = left_bound is not None and right_bound is not None
+            if expr.op in "+-":
+                bound = _exact(left_bound + right_bound) if integers else None
+                result = left + right if expr.op == "+" else left - right
+                return result, nulls, bound
             if expr.op == "*":
-                return left * right, nulls
+                bound = _exact(left_bound * right_bound) if integers else None
+                return left * right, nulls, bound
             # Division and modulo NULL out on zero divisors, like the
             # row path.
             zero = right == 0
             safe = _np.where(zero, 1, right) if zero is not False else right
             if expr.op == "/":
-                result = left / safe
-            else:
-                result = left % safe
-            return result, nulls | zero
+                return left / safe, nulls | zero, None
+            # |a % b| < |b|
+            return left % safe, nulls | zero, right_bound if integers else None
         raise Unvectorizable(repr(expr))
 
     def boolean(self, expr: Expr) -> Tuple[Any, Any]:
@@ -286,6 +321,13 @@ class _Evaluator:
         return true, unknown
 
 
+def _exact(bound: int) -> int:
+    """``bound`` if every integer within it is float64-exact."""
+    if bound > _FLOAT64_EXACT:
+        raise Unvectorizable("integer beyond the float64-exact range")
+    return bound
+
+
 def _as_bool(raw: Any) -> Any:
     """Comparisons over object arrays yield object dtype; normalize."""
     if isinstance(raw, _np.ndarray) and raw.dtype == object:
@@ -305,22 +347,23 @@ def _mask(value: Any, count: int) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Entry point
+# Entry points
 # ----------------------------------------------------------------------
 
 
-def filtered_rows(
+def filtered_positions(
     table: Table,
     predicates: Sequence[Expr],
     layout: RowLayout,
-) -> Optional[List[Tuple[Any, ...]]]:
-    """Rows of ``table`` satisfying every predicate, or ``None``.
+) -> Optional[Any]:
+    """Positions of the rows of ``table`` satisfying every predicate
+    (an ascending index array), or ``None``.
 
     ``None`` means "not vectorizable here" — numpy missing, an
     unsupported expression form, or a type error the row path knows how
     to report; the caller must then run the ordinary scan+filter.  A
-    returned list is exact: the same rows, in the same order, as
-    ``_filter(materialized_rows(), predicates)``.
+    returned array is exact: the rows ``_filter(materialized_rows(),
+    predicates)`` keeps, in the same order.
     """
     if not HAVE_NUMPY or not predicates or table.row_count == 0:
         return None
@@ -336,5 +379,69 @@ def filtered_rows(
         # Mixed-type comparisons the row path reports as execution
         # errors; let it produce the message.
         return None
-    rows = table.materialized_rows()
-    return [rows[index] for index in _np.nonzero(mask)[0]]
+    return _np.nonzero(mask)[0]
+
+
+def _keys_at(
+    table: Table, column: str, positions: Optional[Any]
+) -> Optional[Tuple[Any, Any]]:
+    """(values, null-mask) of one column at ``positions`` (``None``:
+    every row), or ``None`` for a column kept as an object array."""
+    vector = _column_vector(table, column.lower())
+    if vector.values.dtype == object:
+        return None
+    if positions is None:
+        return vector.values, vector.nulls
+    return vector.values[positions], vector.nulls[positions]
+
+
+def equi_join_count(
+    left: Tuple[Table, str, Optional[Any]],
+    right: Tuple[Table, str, Optional[Any]],
+) -> Optional[int]:
+    """How many pairs ``left.key = right.key`` matches, or ``None``.
+
+    Each side is ``(table, key column, surviving positions)``.  NULL
+    never joins; the count is the sum over keys of count_left(k) *
+    count_right(k), read off the smaller side sorted.  ``None`` when
+    numpy is missing or a key column is an object array.
+    """
+    if not HAVE_NUMPY:
+        return None
+    sides = []
+    for table, column, positions in (left, right):
+        keys = _keys_at(table, column, positions)
+        if keys is None:
+            return None
+        values, nulls = keys
+        sides.append(values[~nulls])
+    small, large = sorted(sides, key=len)
+    small = _np.sort(small)
+    matches = _np.searchsorted(small, large, "right") - _np.searchsorted(
+        small, large, "left"
+    )
+    return int(matches.sum())
+
+
+def group_count(
+    table: Table, columns: Sequence[str], positions: Optional[Any]
+) -> Optional[int]:
+    """How many distinct ``columns`` tuples the rows at ``positions``
+    hold (NULL is a group of its own), or ``None`` as above."""
+    if not HAVE_NUMPY:
+        return None
+    codes = _np.zeros(0, dtype=_np.int64)
+    for position, column in enumerate(columns):
+        keys = _keys_at(table, column, positions)
+        if keys is None:
+            return None
+        values, nulls = keys
+        distinct, column_codes = _np.unique(values, return_inverse=True)
+        column_codes = _np.where(nulls, len(distinct), column_codes)
+        if position:
+            # ``codes`` are dense, so the product of the two code ranges
+            # stays far inside int64.
+            column_codes = codes * (len(distinct) + 1) + column_codes
+        # Renumber densely: a NULL's fill value may be no one's value.
+        codes = _np.unique(column_codes, return_inverse=True)[1]
+    return int(codes.max()) + 1 if len(codes) else 0

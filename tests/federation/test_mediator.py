@@ -1,9 +1,18 @@
 """Unit tests for the mediator: evaluation, bypass, decomposition."""
 
+import random
+
 import pytest
 
+from repro.core.yield_model import ExactYieldSource
 from repro.federation import DatabaseServer, Federation, Mediator
 from repro.sqlengine import Catalog, Column, ColumnType, TableSchema
+from repro.workload.sdss_schema import (
+    TINY,
+    build_first_catalog,
+    build_sdss_catalog,
+)
+from repro.workload.templates import TEMPLATES, RegionCursor
 
 from tests.conftest import build_catalog
 
@@ -109,6 +118,86 @@ class TestBypassMultiServer:
             "WHERE p.objID = f.objID"
         )
         assert set(mediator.ledger.per_server_bypass) == {"sdss", "first"}
+
+
+    def test_subplans_drop_the_statement_tail(self, two_site_mediator):
+        # DISTINCT, ORDER BY, LIMIT, GROUP BY and HAVING run at the
+        # mediator after the join: each server ships its filtered
+        # partial whole.
+        mediator = two_site_mediator
+        outcome = mediator.bypass(
+            "SELECT DISTINCT p.type, f.peak FROM PhotoObj p, First f "
+            "WHERE p.objID = f.objID AND f.peak > 0.5 "
+            "ORDER BY f.peak DESC LIMIT 2"
+        )
+        assert outcome.per_server_bytes == {"sdss": 240, "first": 64}
+        assert outcome.result.rows == [(1, 4.0), (0, 3.0)]
+        outcome = mediator.bypass(
+            "SELECT p.type, COUNT(*) FROM PhotoObj p, First f "
+            "WHERE p.objID = f.objID GROUP BY p.type HAVING COUNT(*) > 1"
+        )
+        assert outcome.per_server_bytes == {"sdss": 240, "first": 40}
+        assert outcome.result.rows == [(0, 2), (1, 2)]
+
+
+#: ``first_match`` (``PhotoObj p, First f``, two servers) drawn six times
+#: per seed on the ``tiny`` profile, recorded when each server's subplan
+#: was projected from built rows: per query (yield, decomposed bypass
+#: bytes, bytes shipped by ``first``) — ``sdss`` always ships its 400
+#: unfiltered (objID, ra, dec) rows, 9 600 bytes — then ``first``'s
+#: ``bytes_shipped`` after measuring and bypassing every query.
+FIRST_MATCH_RECORDED = {
+    7: (
+        [
+            (1344, 10272, 672), (1792, 10496, 896), (1440, 10320, 720),
+            (1600, 10400, 800), (1792, 10496, 896), (1504, 10352, 752),
+        ],
+        9472,
+    ),
+    11: (
+        [
+            (864, 10032, 432), (1504, 10352, 752), (1504, 10352, 752),
+            (1440, 10320, 720), (1696, 10448, 848), (1504, 10352, 752),
+        ],
+        8512,
+    ),
+}
+
+
+class TestFirstMatchDecomposition:
+    @pytest.mark.parametrize("seed", sorted(FIRST_MATCH_RECORDED))
+    def test_shipped_bytes_are_the_recorded_ones(self, seed):
+        recorded, first_shipped = FIRST_MATCH_RECORDED[seed]
+        federation = Federation.single_site(
+            build_sdss_catalog(TINY), "sdss"
+        )
+        federation.add_server(
+            DatabaseServer("first", build_first_catalog(TINY))
+        )
+        mediator = Mediator(federation)
+        source = ExactYieldSource(mediator)
+        rng = random.Random(seed)
+        cursor = RegionCursor(rng)
+        for yield_bytes, bypass_bytes, first_bytes in recorded:
+            sql = TEMPLATES["first_match"].build(rng, cursor, TINY)
+            plan = mediator.plan(sql)
+            servers = mediator.servers_for_plan(plan)
+            assert servers == ("sdss", "first")
+            # Measuring the decomposition leaves the ledger as it was.
+            before = vars(mediator.ledger.snapshot())
+            measured = source.measure(sql, plan, servers)
+            assert vars(mediator.ledger.snapshot()) == before
+            assert measured.yield_bytes == yield_bytes
+            assert measured.bypass_bytes == bypass_bytes
+            outcome = mediator.bypass(sql, plan)
+            assert outcome.per_server_bytes == {
+                "sdss": 9600, "first": first_bytes,
+            }
+            assert outcome.wan_bytes == bypass_bytes
+            assert outcome.result.byte_size == yield_bytes
+        # Each query shipped twice: once measured, once bypassed.
+        assert federation.server("sdss").bytes_shipped == 2 * 6 * 9600
+        assert federation.server("first").bytes_shipped == first_shipped
 
 
 class TestLoadsAndCacheHits:

@@ -10,7 +10,6 @@ cannot handle must degrade to the row path silently.
 import pytest
 
 from repro.sqlengine import Catalog, Column, ColumnType, QueryEngine, TableSchema
-from repro.sqlengine import executor as executor_module
 from repro.sqlengine import vectorized
 
 from tests.conftest import build_catalog
@@ -49,7 +48,7 @@ def engine():
 def row_path_result(engine, sql, monkeypatch):
     """Execute with the vectorized scan disabled (pure row path)."""
     monkeypatch.setattr(
-        executor_module, "_vector_filtered_rows", lambda *args: None
+        vectorized, "filtered_positions", lambda *args: None
     )
     try:
         return engine.execute(sql)
@@ -144,10 +143,10 @@ class TestFallbacks:
         result = engine.execute("SELECT objID FROM PhotoObj WHERE ra > 55")
         assert result.row_count == 14
 
-    def test_filtered_rows_declines_without_predicates(self):
+    def test_filtered_positions_declines_without_predicates(self):
         catalog = null_catalog()
         table = catalog.table("t")
-        assert vectorized.filtered_rows(table, [], None) is None
+        assert vectorized.filtered_positions(table, [], None) is None
 
     def test_unvectorizable_expression_degrades_silently(self, engine):
         # String methods / functions are not vectorized; the query must
@@ -156,3 +155,56 @@ class TestFallbacks:
             "SELECT objID FROM PhotoObj WHERE objID = 1 + 1"
         )
         assert result.column_values("objID") == [2]
+
+
+def bigint_catalog():
+    """A 40-row BIGINT column ``id`` = 1…40."""
+    catalog = Catalog("bigint")
+    table = catalog.create_table(
+        TableSchema("T", [Column("id", ColumnType.BIGINT)])
+    )
+    table.insert_many([i] for i in range(1, 41))
+    return catalog
+
+
+class TestIntegerRange:
+    """int64 wraps where Python ints grow: integer arithmetic that could
+    leave the float64-exact range is declined, never computed wrongly."""
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            "id + 9223372036854775807 > 5",   # wrapped negative: 0 rows
+            "id * 9223372036854775807 > 5",   # wrapped every other: 20
+        ],
+    )
+    def test_arithmetic_beyond_int64_matches_row_path(
+        self, predicate, monkeypatch
+    ):
+        engine = QueryEngine(bigint_catalog())
+        sql = f"SELECT id FROM T WHERE {predicate}"
+        assert engine.yield_bytes(sql) == 320
+        vector = engine.execute(sql)
+        assert vector.byte_size == 320
+        assert vector.rows == row_path_result(engine, sql, monkeypatch).rows
+        assert len(vector.rows) == 40
+
+    @pytest.mark.parametrize(
+        "predicate, count",
+        [
+            ("id = 100000000000000000000", 0),
+            ("id < 100000000000000000000", 40),
+            ("id IN (7, 100000000000000000000)", 1),
+            ("id BETWEEN -100000000000000000000 "
+             "AND 100000000000000000000", 40),
+        ],
+    )
+    def test_literal_beyond_int64_matches_row_path(
+        self, predicate, count, monkeypatch
+    ):
+        engine = QueryEngine(bigint_catalog())
+        sql = f"SELECT id FROM T WHERE {predicate}"
+        vector = engine.execute(sql)
+        assert vector.row_count == count
+        assert vector.rows == row_path_result(engine, sql, monkeypatch).rows
+        assert len(vector.rows) == count
