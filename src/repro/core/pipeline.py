@@ -17,8 +17,11 @@ implementation:
   construction (yield attribution plus the BYHR/BYU
   ``policy_sees_weights`` cost views), WAN-cost accounting, and
   :meth:`DecisionPipeline.step`, the one per-query sequence (decide →
-  account → charge → emit) every prepared-trace driver calls — the
-  drivers differ only in where their events come from;
+  settle → charge → emit) that the replays, the service and the live
+  proxy all call — they differ only in where events and bytes come from;
+* :class:`WanSource` — where a query whose transfers can fail gets its
+  bytes: :class:`PricedWan` prices catalog sizes through a resilient
+  transport, the proxy's ``MediatedWan`` executes through its mediator;
 * :class:`QueryAccounting` — the per-query cost record both drivers
   produce;
 * :class:`CompiledTrace` — a prepared trace fully lowered to the
@@ -84,7 +87,7 @@ from repro.workload.trace import PreparedQuery, PreparedTrace
 
 if TYPE_CHECKING:  # typing-only: keeps repro.core import-light
     from repro.core.policies.base import CachePolicy
-    from repro.faults.transport import ResilientTransport
+    from repro.faults.transport import ResilientTransport, TransportOutcome
     from repro.sim.results import SimulationResult
 
 GRANULARITIES = ("table", "column")
@@ -281,9 +284,9 @@ class QueryAccounting:
 class ResolvedQuery:
     """One query's outcome under a fault-aware replay.
 
-    Produced by :meth:`DecisionPipeline.resolve`; unpacked by
-    :meth:`DecisionPipeline.step` into the one
-    :meth:`~repro.sim.results.SimulationResult.charge`.
+    Returned by :meth:`DecisionPipeline.resolve` only — both kept for
+    the frozen perf benchmark, exactly like
+    :meth:`~repro.sim.results.SimulationResult.charge_resolved`.
 
     Attributes:
         decision: What the policy asked for (before faults intervened).
@@ -302,6 +305,141 @@ class ResolvedQuery:
     outcome: str
     retries: int = 0
     failed_loads: Tuple[str, ...] = ()
+
+
+class WanSource:
+    """Where a settled query's bytes come from: the seam of
+    :meth:`DecisionPipeline._settle`, which calls :meth:`begin`,
+    :meth:`load` per decided load, :meth:`serve` or :meth:`bypass` (and
+    :meth:`serve` when a dark bypass falls back to resident objects),
+    then :meth:`waste`.  :class:`PricedWan` prices catalog sizes through
+    a resilient transport; ``repro.core.proxy.MediatedWan`` executes
+    through the proxy's mediator.  ``faulted`` is False when no transfer
+    can fail: such events carry no outcome, as before faults existed.
+    """
+
+    __slots__ = ()
+    faulted = True
+
+    def begin(self, event: CompiledQuery, index: int) -> None:
+        raise NotImplementedError
+
+    def load(
+        self, object_id: str
+    ) -> Optional[Tuple[RawBytes, WeightedCost, bool]]:
+        """``(bytes, cost, via_peer)``, or None when the load failed."""
+        raise NotImplementedError
+
+    def serve(self) -> None:
+        raise NotImplementedError
+
+    def bypass(
+        self, partial_results: bool
+    ) -> Optional[Tuple[RawBytes, WeightedCost, str]]:
+        """``(bytes, cost, outcome)``, or None when a backend stayed
+        dark (partials shipped before it are then waste)."""
+        raise NotImplementedError
+
+    def waste(self) -> Tuple[int, RawBytes, WeightedCost]:
+        """``(retries, retry bytes, retry cost)`` since :meth:`begin`."""
+        raise NotImplementedError
+
+
+class PricedWan(WanSource):
+    """Catalog-priced: a load ships its object's catalog size, a bypass
+    each involved server's share of the prepared bypass bytes, through
+    a resilient transport at the link weights."""
+
+    __slots__ = (
+        "pipeline", "transport", "event", "index",
+        "retries", "wasted_bytes", "wasted_cost",
+    )
+
+    def __init__(
+        self, pipeline: "DecisionPipeline", transport: "ResilientTransport"
+    ) -> None:
+        self.pipeline = pipeline
+        self.transport = transport
+
+    def begin(self, event: CompiledQuery, index: int) -> None:
+        self.event, self.index, self.retries = event, index, 0
+        self.wasted_bytes, self.wasted_cost = ZERO_BYTES, ZERO_COST
+
+    def _ship(
+        self, server: str, num_bytes: int, cost: WeightedCost
+    ) -> Tuple["TransportOutcome", WeightedCost]:
+        """Send ``num_bytes``; the attempt and its (brownout) cost."""
+        weight = self.pipeline.federation.network.link(server).weight
+        sent = self.transport.send(server, num_bytes, self.index, weight)
+        self.retries += sent.retries
+        if sent.wasted_bytes:
+            self.wasted_bytes = RawBytes(self.wasted_bytes + sent.wasted_bytes)
+            self.wasted_cost = WeightedCost(self.wasted_cost + sent.wasted_cost)
+        if sent.cost_multiplier != 1.0:
+            cost = WeightedCost(cost * sent.cost_multiplier)
+        return sent, cost
+
+    def load(
+        self, object_id: str
+    ) -> Optional[Tuple[RawBytes, WeightedCost, bool]]:
+        catalog, tracer = self.pipeline.catalog, self.pipeline.tracer
+        server, size = catalog.server(object_id), catalog.size(object_id)
+        span = None
+        if tracer is not None:
+            span = tracer.start(
+                STAGE_LOAD, index=self.index, tenant=self.event.tenant,
+                object=object_id, server=server,
+            )
+        sent, cost = self._ship(server, size, catalog.fetch_cost(object_id))
+        if tracer is not None and span is not None:
+            tracer.finish(
+                span, bytes_moved=int(size) + sent.wasted_bytes,
+                ok=sent.ok, retries=sent.retries,
+            )
+        return (size, cost, False) if sent.ok else None
+
+    def serve(self) -> None:
+        pass
+
+    def bypass(
+        self, partial_results: bool
+    ) -> Optional[Tuple[RawBytes, WeightedCost, str]]:
+        event, tracer = self.event, self.pipeline.tracer
+        network = self.pipeline.federation.network
+        shares = split_bypass_bytes(event.bypass_bytes, event.servers)
+        span = None
+        if tracer is not None:
+            span = tracer.start(
+                STAGE_BYPASS, index=self.index, tenant=event.tenant
+            )
+        shipped: List[Tuple[int, WeightedCost]] = []
+        for server, share in shares:
+            sent, cost = self._ship(server, share, network.cost(server, share))
+            if sent.ok:
+                shipped.append((share, cost))
+        dark = len(shipped) < len(shares)
+        moved = raw_bytes(sum(share for share, _ in shipped))
+        if tracer is not None and span is not None:
+            tracer.finish(
+                span, bytes_moved=moved, servers=len(shares), dark=dark
+            )
+        if not shares:
+            # No server attribution (synthetic traces): the WAN is
+            # charged as in the fault-free path, at unit weight.
+            unit_cost = self.pipeline.bypass_cost(event.bypass_bytes)
+            return raw_bytes(event.bypass_bytes), unit_cost, OUTCOME_BYPASSED
+        moved_cost = WeightedCost(sum(cost for _, cost in shipped))
+        if not dark:
+            return moved, moved_cost, OUTCOME_BYPASSED
+        if shipped and partial_results:
+            return moved, moved_cost, OUTCOME_PARTIAL
+        for share, cost in shipped:  # discarded partials: pure waste
+            self.wasted_bytes = RawBytes(self.wasted_bytes + share)
+            self.wasted_cost = WeightedCost(self.wasted_cost + cost)
+        return None
+
+    def waste(self) -> Tuple[int, RawBytes, WeightedCost]:
+        return self.retries, self.wasted_bytes, self.wasted_cost
 
 
 class DecisionPipeline:
@@ -488,42 +626,16 @@ class DecisionPipeline:
 
     # -- WAN accounting --------------------------------------------------
 
-    def load_accounting(
-        self, object_ids: Sequence[str]
-    ) -> Tuple[RawBytes, WeightedCost]:
-        """(bytes, weighted cost) of loading ``object_ids`` whole."""
-        load_bytes = ZERO_BYTES
-        load_cost = ZERO_COST
-        for object_id in object_ids:
-            load_bytes = RawBytes(
-                load_bytes + self.catalog.size(object_id)
-            )
-            load_cost = WeightedCost(
-                load_cost + self.catalog.fetch_cost(object_id)
-            )
-        return load_bytes, load_cost
-
     def bypass_cost(
         self,
         bypass_bytes: int,
         servers: Sequence[str] = (),
-        per_server_bytes: Optional[Mapping[str, int]] = None,
     ) -> WeightedCost:
         """Link-weighted cost of bypassing one query.
 
-        With exact ``per_server_bytes`` (the online path's decomposed
-        shipping), the cost is the per-link sum.  With only a server
-        list (the prepared-trace path, which stores total decomposed
-        bytes), a multi-server query is weighted by the mean of the
-        involved links.
+        Prepared traces store total decomposed bytes, so a multi-server
+        query is weighted by the mean of the involved links.
         """
-        if per_server_bytes is not None:
-            return WeightedCost(
-                sum(
-                    self.federation.network.cost(server, num_bytes)
-                    for server, num_bytes in per_server_bytes.items()
-                )
-            )
         if not servers:
             return weigh(bypass_bytes, UNIT_WEIGHT)
         if len(servers) == 1:
@@ -540,7 +652,6 @@ class DecisionPipeline:
         decision: Decision,
         bypass_bytes: int,
         servers: Sequence[str] = (),
-        per_server_bytes: Optional[Mapping[str, int]] = None,
         peer_loads: Sequence[str] = (),
     ) -> QueryAccounting:
         """Charge one decision: loads always, bypass unless served.
@@ -571,18 +682,17 @@ class DecisionPipeline:
                 for object_id in loads
                 if object_id not in peers
             ]
-        # Most queries load nothing; skip the call.
-        if loads:
-            load_bytes, load_cost = self.load_accounting(loads)
-        else:
-            load_bytes, load_cost = ZERO_BYTES, ZERO_COST
+        load_bytes, load_cost = ZERO_BYTES, ZERO_COST
+        for object_id in loads:
+            load_bytes = RawBytes(load_bytes + self.catalog.size(object_id))
+            load_cost = WeightedCost(
+                load_cost + self.catalog.fetch_cost(object_id)
+            )
         if decision.served_from_cache:
             charged_bypass, charged_cost = ZERO_BYTES, ZERO_COST
         else:
             charged_bypass = raw_bytes(bypass_bytes)
-            charged_cost = self.bypass_cost(
-                bypass_bytes, servers, per_server_bytes
-            )
+            charged_cost = self.bypass_cost(bypass_bytes, servers)
         return QueryAccounting(
             load_bytes=load_bytes,
             load_cost=load_cost,
@@ -592,7 +702,95 @@ class DecisionPipeline:
             peer_cost=peer_cost,
         )
 
-    # -- fault-aware resolution ------------------------------------------
+    # -- the per-query step ----------------------------------------------
+
+    def _decide(
+        self,
+        event: CompiledQuery,
+        policy: "CachePolicy",
+        index: int,
+        faulted: bool,
+    ) -> Decision:
+        """Ask the policy (the one place it is asked).  A faulted
+        query's ``decide`` span also records what the policy intended,
+        since what happens may differ."""
+        tracer = self.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.start(STAGE_DECIDE, index=index, tenant=event.tenant)
+        decision = policy.process(event.query)
+        if tracer is not None and span is not None:
+            if faulted:
+                span.set("served", decision.served_from_cache)
+            tracer.finish(span)
+        return decision
+
+    def _settle(
+        self,
+        event: CompiledQuery,
+        decision: Decision,
+        policy: "CachePolicy",
+        wan: WanSource,
+        index: int,
+        partial_results: bool,
+    ) -> Tuple[QueryAccounting, str, int, List[str], int]:
+        """Settle a decided query whose transfers can fail.
+
+        The policy decided as it would fault-free (it never sees the
+        network); ``wan`` says what actually happened.  A failed load is
+        rolled back out of the cache via ``policy.invalidate``.  A serve
+        whose *needed* load failed degrades to a bypass.  A bypass that
+        finds a backend dark serves a partial result
+        (``partial_results``), falls back to the cache when every
+        referenced object is resident, or is ``"unavailable"``.  With
+        no faults every transfer lands first time at multiplier 1.0, so
+        the accounting equals :meth:`account`'s.
+
+        Returns ``(accounting, outcome, retries, failed_loads,
+        peer_hits)``.
+        """
+        query = event.query
+        wan.begin(event, index)
+        load_bytes = peer_bytes = ZERO_BYTES
+        load_cost = peer_cost = ZERO_COST
+        failed_loads: List[str] = []
+        peer_hits = 0
+        for object_id in decision.loads:
+            moved = wan.load(object_id)
+            if moved is None:
+                policy.invalidate(object_id)
+                failed_loads.append(object_id)
+            elif moved[2]:
+                peer_bytes = RawBytes(peer_bytes + moved[0])
+                peer_cost = WeightedCost(peer_cost + moved[1])
+                peer_hits += 1
+            else:
+                load_bytes = RawBytes(load_bytes + moved[0])
+                load_cost = WeightedCost(load_cost + moved[1])
+        wants_serve = decision.served_from_cache
+        if wants_serve and failed_loads:
+            needed = {request.object_id for request in query.objects}
+            wants_serve = not needed.intersection(failed_loads)
+        bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
+        outcome = OUTCOME_SERVED
+        if wants_serve:
+            wan.serve()
+        else:
+            shipped = wan.bypass(partial_results)
+            if shipped is not None:
+                bypass_bytes, bypass_cost, outcome = shipped
+            elif query.objects and all(
+                request.object_id in policy.store for request in query.objects
+            ):
+                wan.serve()
+            else:
+                outcome = OUTCOME_UNAVAILABLE
+        retries, retry_bytes, retry_cost = wan.waste()
+        accounting = QueryAccounting(
+            load_bytes, load_cost, bypass_bytes, bypass_cost,
+            retry_bytes, retry_cost, peer_bytes, peer_cost,
+        )
+        return accounting, outcome, retries, failed_loads, peer_hits
 
     def resolve(
         self,
@@ -602,212 +800,17 @@ class DecisionPipeline:
         tick: int,
         partial_results: bool = False,
     ) -> ResolvedQuery:
-        """Run one query through ``policy`` with the WAN behind ``transport``.
-
-        The policy decides exactly as it would fault-free (it never sees
-        the network); the transport then decides what actually happens:
-
-        * each load ships through :meth:`ResilientTransport.send` — a
-          failed load is rolled back out of the cache via
-          ``policy.invalidate`` and its wasted attempts charged as
-          retry traffic;
-        * a cache-serve whose *needed* load failed degrades to a bypass
-          attempt (the cache cannot answer without the object);
-        * a bypass ships each involved server's share — when some
-          servers are dark the query degrades to a partial result
-          (``partial_results=True``), falls back to the cache when
-          every referenced object is resident, or surfaces as
-          ``"unavailable"``; partials shipped before the failure are
-          charged as retry waste (they crossed the WAN and were
-          discarded).
-
-        With an empty fault schedule every transfer succeeds on its
-        first attempt at multiplier 1.0, so the returned accounting is
-        byte-identical to :meth:`account` — the no-fault identity the
-        golden-equivalence suite pins down.
-        """
-        query = event.query
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(
-                STAGE_DECIDE, index=query.index, tenant=event.tenant
-            ) as decide_span:
-                decision = policy.process(query)
-                decide_span.set(
-                    "served", decision.served_from_cache
-                )
-        else:
-            decision = policy.process(query)
-        network = self.federation.network
-        retries = 0
-        retry_bytes = ZERO_BYTES
-        retry_cost = ZERO_COST
-        load_bytes = ZERO_BYTES
-        load_cost = ZERO_COST
-        failed_loads: List[str] = []
-
-        for object_id in decision.loads:
-            server = self.catalog.server(object_id)
-            size = self.catalog.size(object_id)
-            load_span = None
-            if tracer is not None:
-                load_span = tracer.start(
-                    STAGE_LOAD,
-                    index=query.index,
-                    tenant=event.tenant,
-                    object=object_id,
-                    server=server,
-                )
-            sent = transport.send(
-                server, size, tick, network.link(server).weight
-            )
-            retries += sent.retries
-            if sent.wasted_bytes:
-                retry_bytes = RawBytes(retry_bytes + sent.wasted_bytes)
-                retry_cost = WeightedCost(retry_cost + sent.wasted_cost)
-            if sent.ok:
-                cost = self.catalog.fetch_cost(object_id)
-                if sent.cost_multiplier != 1.0:
-                    cost = WeightedCost(cost * sent.cost_multiplier)
-                load_bytes = RawBytes(load_bytes + size)
-                load_cost = WeightedCost(load_cost + cost)
-            else:
-                policy.invalidate(object_id)
-                failed_loads.append(object_id)
-            if tracer is not None and load_span is not None:
-                tracer.finish(
-                    load_span,
-                    bytes_moved=int(size) + sent.wasted_bytes,
-                    ok=sent.ok,
-                    retries=sent.retries,
-                )
-
-        wants_serve = decision.served_from_cache
-        if wants_serve and failed_loads:
-            needed = {request.object_id for request in query.objects}
-            if needed.intersection(failed_loads):
-                wants_serve = False
-        if wants_serve:
-            return ResolvedQuery(
-                decision=decision,
-                accounting=QueryAccounting(
-                    load_bytes=load_bytes,
-                    load_cost=load_cost,
-                    bypass_bytes=ZERO_BYTES,
-                    bypass_cost=ZERO_COST,
-                    retry_bytes=retry_bytes,
-                    retry_cost=retry_cost,
-                ),
-                outcome=OUTCOME_SERVED,
-                retries=retries,
-                failed_loads=tuple(failed_loads),
-            )
-
-        # Bypass attempt: ship each involved server's share.
-        shares = split_bypass_bytes(event.bypass_bytes, event.servers)
-        shipped: List[Tuple[str, int, WeightedCost]] = []
-        dark = False
-        bypass_span = None
-        if tracer is not None:
-            bypass_span = tracer.start(
-                STAGE_BYPASS, index=query.index, tenant=event.tenant
-            )
-        for server, share in shares:
-            sent = transport.send(
-                server, share, tick, network.link(server).weight
-            )
-            retries += sent.retries
-            if sent.wasted_bytes:
-                retry_bytes = RawBytes(retry_bytes + sent.wasted_bytes)
-                retry_cost = WeightedCost(retry_cost + sent.wasted_cost)
-            if sent.ok:
-                cost = network.cost(server, share)
-                if sent.cost_multiplier != 1.0:
-                    cost = WeightedCost(cost * sent.cost_multiplier)
-                shipped.append((server, share, cost))
-            else:
-                dark = True
-        if tracer is not None and bypass_span is not None:
-            tracer.finish(
-                bypass_span,
-                bytes_moved=sum(share for _, share, _ in shipped),
-                servers=len(shares),
-                dark=dark,
-            )
-
-        if not dark:
-            if shares:
-                bypass_charged = raw_bytes(
-                    sum(share for _, share, _ in shipped)
-                )
-                bypass_cost = WeightedCost(
-                    sum(cost for _, _, cost in shipped)
-                )
-            else:
-                # No server attribution (synthetic traces): the WAN is
-                # charged at unit weight, as in the fault-free path.
-                bypass_charged = raw_bytes(event.bypass_bytes)
-                bypass_cost = weigh(event.bypass_bytes, UNIT_WEIGHT)
-            return ResolvedQuery(
-                decision=decision,
-                accounting=QueryAccounting(
-                    load_bytes=load_bytes,
-                    load_cost=load_cost,
-                    bypass_bytes=bypass_charged,
-                    bypass_cost=bypass_cost,
-                    retry_bytes=retry_bytes,
-                    retry_cost=retry_cost,
-                ),
-                outcome=OUTCOME_BYPASSED,
-                retries=retries,
-                failed_loads=tuple(failed_loads),
-            )
-
-        if shipped and partial_results:
-            # Serve what the reachable servers produced.
-            return ResolvedQuery(
-                decision=decision,
-                accounting=QueryAccounting(
-                    load_bytes=load_bytes,
-                    load_cost=load_cost,
-                    bypass_bytes=raw_bytes(
-                        sum(share for _, share, _ in shipped)
-                    ),
-                    bypass_cost=WeightedCost(
-                        sum(cost for _, _, cost in shipped)
-                    ),
-                    retry_bytes=retry_bytes,
-                    retry_cost=retry_cost,
-                ),
-                outcome=OUTCOME_PARTIAL,
-                retries=retries,
-                failed_loads=tuple(failed_loads),
-            )
-
-        # Partials that did ship were discarded: pure WAN waste.
-        for _, share, cost in shipped:
-            retry_bytes = RawBytes(retry_bytes + share)
-            retry_cost = WeightedCost(retry_cost + cost)
-
-        resident = bool(query.objects) and all(
-            request.object_id in policy.store for request in query.objects
+        """Decide and settle one query behind ``transport``, uncharged —
+        kept only for the frozen perf benchmark, like
+        :meth:`~repro.sim.results.SimulationResult.charge_resolved`."""
+        decision = self._decide(event, policy, tick, True)
+        accounting, outcome, retries, failed, _ = self._settle(
+            event, decision, policy, PricedWan(self, transport), tick,
+            partial_results,
         )
         return ResolvedQuery(
-            decision=decision,
-            accounting=QueryAccounting(
-                load_bytes=load_bytes,
-                load_cost=load_cost,
-                bypass_bytes=ZERO_BYTES,
-                bypass_cost=ZERO_COST,
-                retry_bytes=retry_bytes,
-                retry_cost=retry_cost,
-            ),
-            outcome=OUTCOME_SERVED if resident else OUTCOME_UNAVAILABLE,
-            retries=retries,
-            failed_loads=tuple(failed_loads),
+            decision, accounting, outcome, retries, tuple(failed)
         )
-
-    # -- the per-query step ----------------------------------------------
 
     def step(
         self,
@@ -815,7 +818,7 @@ class DecisionPipeline:
         policy: "CachePolicy",
         result: "SimulationResult",
         index: int,
-        transport: "Optional[ResilientTransport]" = None,
+        transport: "Optional[ResilientTransport | WanSource]" = None,
         partial_results: bool = False,
         peer_lookup: Optional[Callable[[str], Optional[str]]] = None,
         source: str = "simulator",
@@ -824,21 +827,27 @@ class DecisionPipeline:
     ) -> Tuple[Decision, QueryAccounting]:
         """Decide one query and settle it: the whole per-query sequence.
 
-        Opens the ``query`` root span, decides, accounts, closes the
+        Opens the ``query`` root span, decides, settles, closes the
         span, charges ``result`` once and emits the
-        :class:`~repro.core.instrumentation.DecisionEvent` once.  Every
-        prepared-trace driver calls this and nothing else per query;
-        they differ only in where ``event`` comes from.
+        :class:`~repro.core.instrumentation.DecisionEvent` once.  The
+        prepared-trace replays, the service and the live proxy all call
+        this and nothing else per query; they differ only in where
+        ``event`` and its bytes come from.
 
         Args:
             index: The query's position in its driver's decided order;
                 also the logical fault tick under a transport.
-            transport: When set the WAN sits behind it and
-                :meth:`resolve` decides what actually happened.
-            partial_results: As in :meth:`resolve`.
+            transport: Where the bytes come from when transfers can
+                fail: a :class:`~repro.faults.transport.ResilientTransport`
+                (sizes priced from the catalog behind it, a
+                :class:`PricedWan`) or any :class:`WanSource`, such as
+                the proxy's ``MediatedWan``.  The query is then settled
+                by :meth:`_settle`; without one by :meth:`account`.
+            partial_results: Serve what reachable servers shipped when
+                others are dark (catalog-priced settles only).
             peer_lookup: Fleet hook naming the sibling holding an
                 object (or None); loads it names ride the peer link.
-                Consulted on the fault-free path only.
+                Consulted by :meth:`account` only.
             source: The driver, as stamped on the emitted event.
             shard: The deciding fleet shard ("" outside fleets).
             outcome: Preset by admission control, the policy not
@@ -856,20 +865,7 @@ class DecisionPipeline:
         retries = 0
         failed_loads = 0
         peer_hits = 0
-        if transport is not None:
-            resolved = self.resolve(
-                event,
-                policy,
-                transport,
-                tick=index,
-                partial_results=partial_results,
-            )
-            decision = resolved.decision
-            accounting = resolved.accounting
-            outcome = resolved.outcome
-            retries = resolved.retries
-            failed_loads = len(resolved.failed_loads)
-        elif outcome:
+        if outcome and transport is None:
             decision = Decision(served_from_cache=False)
             refused = outcome == OUTCOME_UNAVAILABLE
             accounting = self.account(
@@ -877,12 +873,8 @@ class DecisionPipeline:
                 bypass_bytes=0 if refused else event.bypass_bytes,
                 servers=event.servers,
             )
-        else:
-            if tracer is not None:
-                with tracer.span(STAGE_DECIDE, index=index):
-                    decision = policy.process(query)
-            else:
-                decision = policy.process(query)
+        elif transport is None:
+            decision = self._decide(event, policy, index, False)
             peer_loads: Sequence[str] = ()
             if peer_lookup is not None and decision.loads:
                 peer_loads = [
@@ -891,21 +883,30 @@ class DecisionPipeline:
                     if peer_lookup(object_id) is not None
                 ]
                 peer_hits = len(peer_loads)
+            span = None
             if tracer is not None:
-                with tracer.span(STAGE_ACCOUNT, index=index):
-                    accounting = self.account(
-                        decision,
-                        bypass_bytes=event.bypass_bytes,
-                        servers=event.servers,
-                        peer_loads=peer_loads,
-                    )
-            else:
-                accounting = self.account(
-                    decision,
-                    bypass_bytes=event.bypass_bytes,
-                    servers=event.servers,
-                    peer_loads=peer_loads,
-                )
+                span = tracer.start(STAGE_ACCOUNT, index=index)
+            accounting = self.account(
+                decision,
+                bypass_bytes=event.bypass_bytes,
+                servers=event.servers,
+                peer_loads=peer_loads,
+            )
+            if tracer is not None and span is not None:
+                tracer.finish(span)
+        else:
+            decision = self._decide(event, policy, index, True)
+            wan = (
+                transport
+                if isinstance(transport, WanSource)
+                else PricedWan(self, transport)
+            )
+            accounting, outcome, retries, failed, peer_hits = self._settle(
+                event, decision, policy, wan, index, partial_results
+            )
+            failed_loads = len(failed)
+            if not wan.faulted:
+                outcome = ""
         if tracer is not None and root is not None:
             if outcome:
                 root.set("outcome", outcome)

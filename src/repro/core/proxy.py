@@ -2,20 +2,21 @@
 
 This is the deployable object the paper describes — "we collocate a
 caching service with a mediation middleware" (Section 3).  Each query
-goes through the full pipeline:
+is planned against the global federation schema, evaluated (the result
+must be computed whichever path serves it — its byte size is the
+yield), attributed to the cacheable objects it references, and handed
+to :meth:`~repro.core.pipeline.DecisionPipeline.step` — the same step
+every offline replay takes.  The policy decides there, once, and the
+step settles the decision through :class:`MediatedWan`: loads, bypasses
+and cache serves really run through the proxy's mediator, which keeps
+the network-citizenship ledger (loads and bypasses cost WAN bytes;
+cache-served queries ride the LAN).
 
-1. plan against the global federation schema;
-2. evaluate (the result must be computed whichever path serves it — its
-   byte size is the yield);
-3. attribute the yield to the referenced cacheable objects;
-4. let the policy decide: load objects / serve from cache / bypass;
-5. account WAN traffic on the mediator's ledger (loads and bypasses
-   cost; cache-served queries ride the LAN).
-
-The offline :class:`~repro.sim.simulator.Simulator` exists for replaying
-*prepared* traces cheaply; the proxy is the online path.  Both are thin
-drivers over the same :class:`~repro.core.pipeline.DecisionPipeline`, so
-they agree exactly on accounting under both cost views (tested).
+The offline :class:`~repro.sim.simulator.Simulator` replays *prepared*
+traces cheaply by pricing the same settle from the catalog; the proxy
+is the online path.  Both run on one
+:class:`~repro.core.pipeline.DecisionPipeline`, so they agree exactly,
+event for event, under both cost views and under faults (tested).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Tuple,
 )
 
 if TYPE_CHECKING:
@@ -38,20 +40,22 @@ if TYPE_CHECKING:
     from repro.obs.httpd import MetricsServer
     from repro.obs.metrics import MetricsRegistry
 
-from repro.core.events import CacheQuery
-from repro.core.instrumentation import DecisionEvent, Instrumentation
+from repro.core.instrumentation import Instrumentation, served_hit
 from repro.core.pipeline import (
     OUTCOME_BYPASSED,
     OUTCOME_SERVED,
     OUTCOME_UNAVAILABLE,
+    CompiledQuery,
     DecisionPipeline,
+    WanSource,
 )
-from repro.core.units import ZERO_BYTES, ZERO_COST, RawBytes, WeightedCost
+from repro.core.units import RawBytes, WeightedCost
 from repro.core.policies.base import CachePolicy
 from repro.errors import BackendUnavailable
 from repro.federation.federation import Federation
 from repro.federation.mediator import Mediator
 from repro.federation.network import TrafficLedger
+from repro.sim.results import SimulationResult
 from repro.sqlengine.executor import ResultSet
 from repro.sqlengine.planner import QueryPlan
 
@@ -65,8 +69,12 @@ class ProxyResponse:
             produced it).  ``None`` only when ``outcome`` is
             ``"unavailable"`` — every backend the query needed stayed
             dark through the retries and nothing was resident.
-        served_from_cache: True when the query was evaluated locally.
-        loads: Objects fetched into the cache for this query.
+        served_from_cache: True when the query was evaluated locally —
+            what actually happened
+            (:func:`~repro.core.instrumentation.served_hit`), not what
+            the policy intended.
+        loads: Objects fetched into the cache for this query (failed
+            loads excluded).
         evictions: Objects evicted to make room.
         wan_bytes: WAN bytes this query added (loads + bypass + retry
             waste).
@@ -85,6 +93,98 @@ class ProxyResponse:
     outcome: str = OUTCOME_SERVED
     retries: int = 0
     failed_loads: List[str] = field(default_factory=list)
+
+
+class MediatedWan(WanSource):
+    """The mediator-executed :class:`~repro.core.pipeline.WanSource`.
+
+    Loads (from ``peer_lookup``'s sibling when it names one), bypasses
+    and cache serves run through the proxy's mediator, a dark transfer
+    surfacing as ``BackendUnavailable``; retries and waste are the
+    transport's and the ledger's deltas.  After a step it holds what the
+    client got — ``outcome``, ``retries``, ``failed_loads`` — and it
+    times the ``proxy.decide`` and ``proxy.transfer`` stages, split at
+    :meth:`begin`.
+    """
+
+    def __init__(
+        self,
+        mediator: Mediator,
+        peer_lookup: Optional[Callable[[str], Optional[str]]],
+    ) -> None:
+        self.mediator = mediator
+        self.peer_lookup = peer_lookup
+        self.faulted = mediator.transport is not None
+        self._timer: Optional[ContextManager[None]] = None
+
+    def time_stage(self, stage: Optional[str]) -> None:
+        """Stop the running stage timer, then start ``stage``'s."""
+        if self._timer is not None:
+            self._timer.__exit__(None, None, None)
+            self._timer = None
+        instrumentation = self.mediator.instrumentation
+        if stage is not None and instrumentation is not None:
+            self._timer = instrumentation.stage(stage)
+            self._timer.__enter__()
+
+    def prepare(self, sql: str, plan: QueryPlan, result: ResultSet) -> None:
+        """Take the next evaluated query; the policy decides next."""
+        self.sql, self.plan, self.result = sql, plan, result
+        self.time_stage("proxy.decide")
+
+    def _waste_so_far(self) -> Tuple[int, RawBytes, WeightedCost]:
+        transport, ledger = self.mediator.transport, self.mediator.ledger
+        retries = 0 if transport is None else transport.stats()["retries"]
+        return retries, ledger.retry_bytes, ledger.retry_cost
+
+    def begin(self, event: CompiledQuery, index: int) -> None:
+        self.time_stage("proxy.transfer")
+        if self.mediator.clock is not None:
+            self.mediator.clock.advance_to(index)
+        self._before = self._waste_so_far()
+        self.outcome = OUTCOME_UNAVAILABLE
+        self.failed_loads: List[str] = []
+
+    def load(
+        self, object_id: str
+    ) -> Optional[Tuple[RawBytes, WeightedCost, bool]]:
+        if self.peer_lookup is not None:
+            provider = self.peer_lookup(object_id)
+            if provider is not None:
+                size, cost = self.mediator.load_from_peer(object_id, provider)
+                return size, cost, True
+        try:
+            size, cost = self.mediator.load_object(object_id)
+        except BackendUnavailable:
+            self.failed_loads.append(object_id)
+            return None
+        return size, cost, False
+
+    def serve(self) -> None:
+        self.mediator.serve_from_cache(self.result)
+        self.outcome = OUTCOME_SERVED
+
+    def bypass(
+        self, partial_results: bool
+    ) -> Optional[Tuple[RawBytes, WeightedCost, str]]:
+        """A decomposed query ships every server's partial or none."""
+        try:
+            shipped = self.mediator.bypass(self.sql, self.plan, self.result)
+        except BackendUnavailable:
+            return None
+        self.outcome = OUTCOME_BYPASSED
+        return shipped.wan_bytes, shipped.wan_cost, OUTCOME_BYPASSED
+
+    def waste(self) -> Tuple[int, RawBytes, WeightedCost]:
+        self.time_stage(None)
+        retries, retry_bytes, retry_cost = self._waste_so_far()
+        before = self._before
+        self.retries = retries - before[0]
+        return (
+            self.retries,
+            RawBytes(retry_bytes - before[1]),
+            WeightedCost(retry_cost - before[2]),
+        )
 
 
 class BypassYieldProxy:
@@ -143,13 +243,22 @@ class BypassYieldProxy:
         self.policy = policy
         self.granularity = granularity
         self.transport = transport
-        self.peer_lookup = peer_lookup
         self.mediator = Mediator(
             federation,
             instrumentation=instrumentation,
             transport=transport,
         )
-        self.queries_handled = 0
+        # Under a transport the backend fetch carries the fault
+        # semantics, so siblings are not consulted.
+        self._wan = MediatedWan(
+            self.mediator, peer_lookup if transport is None else None
+        )
+        #: Every query charged once by the step, as in an offline run.
+        self.totals = SimulationResult(
+            policy_name=policy.name,
+            granularity=granularity,
+            capacity_bytes=policy.capacity_bytes,
+        )
         self._metrics_registry: Optional["MetricsRegistry"] = None
         self._metrics_server: Optional["MetricsServer"] = None
         self._metrics_lock = threading.Lock()
@@ -175,164 +284,52 @@ class BypassYieldProxy:
             return nullcontext()
         return instrumentation.stage(name)
 
-    def build_query(self, sql: str) -> CacheQuery:
-        """Plan + evaluate + attribute one query into the policy event.
-
-        Exposed for inspection; :meth:`query` is the serving path.
-        """
-        plan = self.mediator.plan(sql)
-        result = self.mediator.evaluate(sql, plan)
-        return self._build_event(sql, plan, result)
-
-    def _build_event(
-        self, sql: str, plan: QueryPlan, result: ResultSet
-    ) -> CacheQuery:
-        yield_bytes = result.byte_size
-        with self._stage("proxy.attribute"):
-            shares = self.pipeline.attribute(plan, yield_bytes)
-        return self.pipeline.build_query(
-            index=self.queries_handled,
-            object_yields=shares,
-            yield_bytes=yield_bytes,
-            bypass_bytes=yield_bytes,
-            sql=sql,
-        )
-
     def query(self, sql: str) -> ProxyResponse:
-        """Serve one query, making the bypass/load decision.
+        """Serve one query: plan, evaluate, attribute, then one step.
 
-        With a transport attached the transfers can fail: failed loads
-        roll back, a serve missing its load degrades to a bypass, a
-        dark bypass falls back to the cache when everything the query
-        touches is resident, and whatever remains surfaces as an
-        ``"unavailable"`` response rather than an exception (mirroring
-        :meth:`DecisionPipeline.resolve` for the online path).  Without
-        one ``BackendUnavailable`` is never raised and the same body
-        is the fault-free path.
+        The step decides and settles the query through the proxy's
+        :class:`MediatedWan`.  Behind a transport, failed loads roll
+        back, a serve missing its load degrades to a bypass, a dark
+        bypass falls back to the cache when everything the query touches
+        is resident, and whatever remains surfaces as an
+        ``"unavailable"`` response rather than an exception.
         """
         with self._stage("proxy.plan"):
             plan = self.mediator.plan(sql)
         with self._stage("proxy.evaluate"):
             result = self.mediator.evaluate(sql, plan)
-        event = self._build_event(sql, plan, result)
-        with self._stage("proxy.decide"):
-            decision = self.policy.process(event)
-        index = self.queries_handled
-        self.queries_handled += 1
-
-        transport = self.transport
-        ledger = self.mediator.ledger
-        peer_lookup = self.peer_lookup
-        retries_before = 0
-        if transport is not None:
-            if self.mediator.clock is not None:
-                self.mediator.clock.advance_to(index)
-            # The backend fetch already carries the fault semantics.
-            peer_lookup = None
-            retries_before = transport.stats()["retries"]
-        retry_bytes_before = ledger.retry_bytes
-        retry_cost_before = ledger.retry_cost
-
-        load_bytes = ZERO_BYTES
-        load_cost = ZERO_COST
-        peer_bytes = ZERO_BYTES
-        peer_cost = ZERO_COST
-        failed_loads: List[str] = []
-        peer_hits = 0
-        final_result: Optional[ResultSet] = result
-        with self._stage("proxy.transfer"):
-            for object_id in decision.loads:
-                provider = (
-                    peer_lookup(object_id)
-                    if peer_lookup is not None
-                    else None
-                )
-                if provider is not None:
-                    size, cost = self.mediator.load_from_peer(
-                        object_id, provider
-                    )
-                    peer_bytes = RawBytes(peer_bytes + size)
-                    peer_cost = WeightedCost(peer_cost + cost)
-                    peer_hits += 1
-                    continue
-                try:
-                    size, cost = self.mediator.load_object(object_id)
-                except BackendUnavailable:
-                    self.policy.invalidate(object_id)
-                    failed_loads.append(object_id)
-                else:
-                    load_bytes = RawBytes(load_bytes + size)
-                    load_cost = WeightedCost(load_cost + cost)
-
-            wants_serve = decision.served_from_cache
-            if wants_serve and failed_loads:
-                needed = {request.object_id for request in event.objects}
-                if needed.intersection(failed_loads):
-                    wants_serve = False
-
-            bypass_bytes, bypass_cost = ZERO_BYTES, ZERO_COST
-            outcome = OUTCOME_SERVED
-            if wants_serve:
-                self.mediator.serve_from_cache(result)
-            else:
-                try:
-                    shipped = self.mediator.bypass(sql, plan, result)
-                except BackendUnavailable:
-                    resident = bool(event.objects) and all(
-                        request.object_id in self.policy.store
-                        for request in event.objects
-                    )
-                    if resident:
-                        self.mediator.serve_from_cache(result)
-                    else:
-                        outcome = OUTCOME_UNAVAILABLE
-                        final_result = None
-                else:
-                    bypass_bytes = shipped.wan_bytes
-                    bypass_cost = shipped.wan_cost
-                    outcome = OUTCOME_BYPASSED
-
-        retry_bytes = RawBytes(ledger.retry_bytes - retry_bytes_before)
-        retry_cost = WeightedCost(ledger.retry_cost - retry_cost_before)
-        retries = 0
-        if transport is not None:
-            retries = transport.stats()["retries"] - retries_before
-
-        self.pipeline.emit_decision(
-            DecisionEvent(
-                index=index,
-                source="proxy",
-                policy=self.policy.name,
-                granularity=self.granularity,
-                served_from_cache=decision.served_from_cache,
-                loads=tuple(decision.loads),
-                evictions=tuple(decision.evictions),
-                load_bytes=load_bytes,
-                bypass_bytes=bypass_bytes,
-                weighted_cost=WeightedCost(
-                    load_cost + bypass_cost + retry_cost + peer_cost
-                ),
-                sql=sql,
-                yield_bytes=event.yield_bytes,
-                retries=retries,
-                retry_bytes=retry_bytes,
-                # Fault-free events carry no outcome: pre-fault traces
-                # stay byte-identical.
-                outcome=outcome if transport is not None else "",
-                peer_bytes=peer_bytes,
-                failed_loads=len(failed_loads),
-                peer_hits=peer_hits,
-            )
+        yield_bytes = result.byte_size
+        with self._stage("proxy.attribute"):
+            shares = self.pipeline.attribute(plan, yield_bytes)
+        index = self.totals.queries
+        self.totals.queries += 1
+        event = CompiledQuery(
+            self.pipeline.build_query(
+                index, shares, yield_bytes, yield_bytes, sql
+            ),
+            yield_bytes,
+            (),
         )
+        wan = self._wan
+        wan.prepare(sql, plan, result)
+        try:
+            decision, accounting = self.pipeline.step(
+                event, self.policy, self.totals, index, wan, source="proxy"
+            )
+        finally:
+            wan.time_stage(None)
+        failed = wan.failed_loads
         return ProxyResponse(
-            result=final_result,
-            served_from_cache=decision.served_from_cache,
-            loads=decision.loads,
+            result=None if wan.outcome == OUTCOME_UNAVAILABLE else result,
+            served_from_cache=served_hit(
+                decision.served_from_cache, wan.outcome
+            ),
+            loads=[load for load in decision.loads if load not in failed],
             evictions=decision.evictions,
-            wan_bytes=load_bytes + bypass_bytes + retry_bytes,
-            outcome=outcome,
-            retries=retries,
-            failed_loads=failed_loads,
+            wan_bytes=accounting.wan_bytes,
+            outcome=wan.outcome,
+            retries=wan.retries,
+            failed_loads=failed,
         )
 
     def invalidate(self, object_ids: Iterable[str]) -> List[str]:
@@ -417,7 +414,7 @@ class BypassYieldProxy:
         """Operational snapshot: traffic, hit rate, residency."""
         ledger = self.mediator.ledger
         snapshot: Dict[str, object] = {
-            "queries": self.queries_handled,
+            "queries": self.totals.queries,
             "hit_rate": round(self.policy.hit_rate, 4),
             "wan_bytes": ledger.wan_bytes,
             "bypass_bytes": ledger.bypass_bytes,

@@ -152,16 +152,6 @@ class Table:
         # A copy: inserts append to the index's own lists.
         return list(index.get(value, ()))
 
-    def index_lookup(
-        self, column_name: str, value: Any
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """The rows at :meth:`index_positions` (None when not indexed)."""
-        positions = self.index_positions(column_name, value)
-        if positions is None:
-            return None
-        rows = self.materialized_rows()
-        return [rows[position] for position in positions]
-
     def row_at(self, index: int) -> Tuple[Any, ...]:
         """Random access to one row."""
         if not 0 <= index < self._row_count:

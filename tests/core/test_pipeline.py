@@ -144,13 +144,6 @@ class TestAccounting:
             100, servers=("sdss", "first")
         ) == pytest.approx(100 * 3.0)
 
-    def test_bypass_cost_exact_per_server_bytes(self):
-        federation = make_federation(weight=2.0)
-        pipeline = DecisionPipeline(federation)
-        assert pipeline.bypass_cost(
-            0, per_server_bytes={"sdss": 50}
-        ) == pytest.approx(100.0)
-
     def test_account_served_query_charges_loads_only(self):
         federation = make_federation(weight=2.0)
         pipeline = DecisionPipeline(federation)

@@ -106,45 +106,65 @@ class TestColumnGranularity:
 
 class TestProxyMatchesSimulator:
     def test_online_equals_offline_accounting(self):
-        """The live proxy and the prepared-trace simulator must agree
-        byte-for-byte for a deterministic policy."""
-        trace = generate_trace(
-            TraceConfig(num_queries=120, flavor="edr", seed=321), TINY
-        )
+        """The live proxy and the prepared-trace simulator are one
+        algorithm: their decision events are equal field for field
+        (bar ``source``) for table and column objects, fault-free and
+        behind flap, brownout and outage schedules."""
+        from dataclasses import replace
 
-        # Offline: prepare, then simulate.
+        from repro.core.instrumentation import Instrumentation
+        from repro.faults import FaultEngine, FaultSchedule
+        from repro.faults.transport import ResilientTransport
+        from repro.federation import Mediator
+
+        from tests.core.proxy_net import SCHEDULES
+
+        trace = generate_trace(
+            TraceConfig(num_queries=150, flavor="edr", seed=321), TINY
+        )
         federation_a = Federation.single_site(
             build_sdss_catalog(TINY, seed=5), "sdss"
         )
-        from repro.federation import Mediator
-
         prepared = prepare_trace(trace, Mediator(federation_a))
         capacity = federation_a.total_database_bytes() // 3
-        offline = run_single(
-            prepared, federation_a, "rate-profile", capacity, "table"
-        )
+        cases = [("fault-free", None)] + [
+            (name, FaultSchedule(seed=11, windows=windows))
+            for name, windows in sorted(SCHEDULES.items())
+        ]
+        for granularity in ("table", "column"):
+            for name, faults in cases:
+                # Offline: prepare, then simulate.
+                offline_sink = Instrumentation()
+                offline = run_single(
+                    prepared, federation_a, "rate-profile", capacity,
+                    granularity, instrumentation=offline_sink,
+                    faults=faults,
+                )
+                # Online: fresh federation and proxy, same queries.
+                online_sink = Instrumentation()
+                proxy = BypassYieldProxy(
+                    Federation.single_site(
+                        build_sdss_catalog(TINY, seed=5), "sdss"
+                    ),
+                    RateProfilePolicy(capacity_bytes=capacity),
+                    granularity=granularity,
+                    instrumentation=online_sink,
+                    transport=(
+                        None if faults is None
+                        else ResilientTransport(FaultEngine(faults))
+                    ),
+                )
+                for record in trace:
+                    proxy.query(record.sql)
 
-        # Online: fresh federation and proxy, same queries.
-        federation_b = Federation.single_site(
-            build_sdss_catalog(TINY, seed=5), "sdss"
-        )
-        proxy = BypassYieldProxy(
-            federation_b,
-            RateProfilePolicy(capacity_bytes=capacity),
-            granularity="table",
-        )
-        for record in trace:
-            proxy.query(record.sql)
-
-        assert proxy.ledger.wan_bytes == pytest.approx(
-            offline.total_bytes
-        )
-        assert proxy.ledger.bypass_bytes == pytest.approx(
-            offline.breakdown.bypass_bytes
-        )
-        assert proxy.ledger.load_bytes == pytest.approx(
-            offline.breakdown.load_bytes
-        )
+                case = f"{granularity}/{name}"
+                online = [replace(e, source="") for e in online_sink.events]
+                want = [replace(e, source="") for e in offline_sink.events]
+                assert len(online) == len(want) == len(trace), case
+                for got, expected in zip(online, want):
+                    assert got == expected, (case, got.index)
+                assert proxy.ledger.wan_bytes == offline.total_bytes, case
+                assert proxy.stats()["queries"] == offline.queries, case
 
 
 class TestMultiServerProxy:
@@ -327,6 +347,61 @@ class TestResilientProxy:
         assert dark.outcome == "served"
         assert dark.result is not None
         assert dark.result.rows == warm[-1].result.rows
+
+    def test_failed_load_is_neither_a_serve_nor_a_load(self):
+        """The backend dies before PhotoObj is loaded: the serve the
+        policy wanted degrades to "unavailable", and the response says
+        so — no serve, no load, one failed load."""
+        from repro.faults import FaultWindow
+
+        resilient = self._make_proxy(
+            windows=(
+                FaultWindow(kind="outage", server="sdss", start=1,
+                            end=1000),
+            ),
+        )
+        responses = [resilient.query(HOT_QUERY) for _ in range(5)]
+        failed = responses[1]
+        assert failed.failed_loads == ["PhotoObj"]
+        assert failed.outcome == "unavailable"
+        assert failed.result is None
+        assert not failed.served_from_cache
+        assert failed.loads == []
+        for response in responses:
+            assert response.served_from_cache == (
+                response.outcome == "served"
+            )
+            assert not set(response.loads) & set(response.failed_loads)
+
+    def test_resident_fallback_is_a_serve(self):
+        """A policy free to bypass resident objects bypasses into a dark
+        backend; the cache answers, and the response says it did."""
+        from repro.core.events import Decision
+        from repro.faults import FaultWindow
+
+        class BypassResidents(RateProfilePolicy):
+            def decide(self, query):
+                if all(
+                    request.object_id in self.store
+                    for request in query.objects
+                ):
+                    return Decision(served_from_cache=False)
+                return super().decide(query)
+
+        resilient = self._make_proxy(
+            windows=(
+                FaultWindow(kind="outage", server="sdss", start=2,
+                            end=1000),
+            ),
+            policy_cls=BypassResidents,
+        )
+        warm = [resilient.query(HOT_QUERY) for _ in range(2)]
+        assert warm[1].loads == ["PhotoObj"]
+        fallback = resilient.query(HOT_QUERY)
+        assert fallback.outcome == "served"
+        assert fallback.served_from_cache
+        assert fallback.result.rows == warm[0].result.rows
+        assert fallback.wan_bytes == 0
 
     def test_retry_waste_lands_in_stats(self):
         from repro.faults import FaultWindow

@@ -25,39 +25,47 @@ def table():
     return table
 
 
+def lookup(table, column, value):
+    """The rows at ``table.index_positions`` (None when not indexed)."""
+    positions = table.index_positions(column, value)
+    if positions is None:
+        return None
+    return [table.row_at(position) for position in positions]
+
+
 class TestIndexMaintenance:
     def test_create_and_lookup(self, table):
         table.create_index("id")
         assert table.has_index("id")
-        rows = table.index_lookup("id", 7)
+        rows = lookup(table, "id", 7)
         assert rows == [(7, 1, 10.5)]
 
     def test_lookup_without_index_returns_none(self, table):
-        assert table.index_lookup("id", 7) is None
+        assert lookup(table, "id", 7) is None
 
     def test_missing_value_is_empty_list(self, table):
         table.create_index("id")
-        assert table.index_lookup("id", 999) == []
+        assert lookup(table, "id", 999) == []
 
     def test_null_probe_matches_nothing(self, table):
         table.create_index("id")
-        assert table.index_lookup("id", None) == []
+        assert lookup(table, "id", None) == []
 
     def test_non_unique_index(self, table):
         table.create_index("grp")
-        rows = table.index_lookup("grp", 0)
+        rows = lookup(table, "grp", 0)
         assert len(rows) == 10
         assert all(row[1] == 0 for row in rows)
 
     def test_insert_maintains_index(self, table):
         table.create_index("id")
         table.insert([100, 1, 5.0])
-        assert table.index_lookup("id", 100) == [(100, 1, 5.0)]
+        assert lookup(table, "id", 100) == [(100, 1, 5.0)]
 
     def test_null_values_not_indexed(self, table):
         table.create_index("v")
         table.insert([200, 0, None])
-        assert table.index_lookup("v", None) == []
+        assert lookup(table, "v", None) == []
 
     def test_unknown_column_rejected(self, table):
         with pytest.raises(CatalogError):
@@ -65,7 +73,7 @@ class TestIndexMaintenance:
 
     def test_case_insensitive(self, table):
         table.create_index("ID")
-        assert table.index_lookup("Id", 3) == [(3, 0, 4.5)]
+        assert lookup(table, "Id", 3) == [(3, 0, 4.5)]
 
 
 class TestExecutorUsesIndex:
