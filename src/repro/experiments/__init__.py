@@ -16,7 +16,8 @@
 
 Each ``run`` returns a structured result with a ``shape_holds`` property
 asserting the paper's qualitative claim; ``render`` produces the
-plain-text table/chart the benchmark harness prints.
+plain-text table/chart.  ``python -m repro.experiments.run_all`` runs
+every module and exits 1 when any shape does not hold.
 """
 
 from repro.experiments import (

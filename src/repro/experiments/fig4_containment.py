@@ -28,8 +28,10 @@ class Fig4Result:
 
     @property
     def shape_holds(self) -> bool:
-        """The paper's qualitative finding: containment is rare."""
-        return self.report.containment_rate < 0.15
+        """The paper's qualitative finding: containment is rare (among
+        a non-empty sample of object queries)."""
+        report = self.report
+        return report.total_queries > 0 and report.containment_rate < 0.15
 
 
 def run(

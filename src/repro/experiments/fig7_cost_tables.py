@@ -45,13 +45,15 @@ class CostSeriesResult:
 
     @property
     def shape_holds(self) -> bool:
-        """Bypass-yield ~5-10x below GDS and no-cache; near static."""
+        """Bypass-yield ~5-10x below GDS and no-cache; static is the
+        floor it approaches from above."""
         rate = self.total("rate-profile")
         if rate <= 0:
             return False
         beats_nocache = self.total("no-cache") / rate >= 4.0
         beats_gds = self.total("gds") / rate >= 4.0
-        return beats_nocache and beats_gds
+        above_static = self.total("static") <= rate
+        return beats_nocache and beats_gds and above_static
 
 
 def run_cost_series(
@@ -107,7 +109,8 @@ def render_cost_series(result: CostSeriesResult, figure: str) -> str:
         rows,
     )
     verdict = (
-        "paper shape (bypass-yield >=4x below GDS and no-cache): "
+        "paper shape (bypass-yield >=4x below GDS and no-cache, "
+        "static <= rate-profile): "
         f"{'HOLDS' if result.shape_holds else 'VIOLATED'}"
     )
     return f"{chart}\n{table}\n{verdict}"

@@ -12,8 +12,8 @@ moves only the keys whose successor changed: other shards' virtual
 nodes never move, bounding churn to ~K/N of K keys on an N-shard ring.
 
 Lookup is an ``O(log V)`` bisect over the sorted virtual-node
-positions (V = shards × replicas); the microbenchmark in
-``benchmarks/test_bench_fleet.py`` pins ≥10^5 lookups/s.
+positions (V = shards × replicas); the perf benchmark times it as the
+``fleet.ring_lookup`` layer of its ``fleet_faults`` workload.
 """
 
 from __future__ import annotations

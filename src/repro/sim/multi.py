@@ -20,20 +20,17 @@ cost, and sibling hits ship over cheap peer links.  With one shard (or
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.instrumentation import Instrumentation
-from repro.core.pipeline import CompiledTrace, DecisionPipeline
+from repro.core.pipeline import CompiledTrace
 from repro.core.policies.base import CachePolicy
 from repro.core.units import RawBytes, WeightedCost, raw_bytes
 from repro.errors import CacheError
 from repro.federation.federation import Federation
 from repro.sim.results import SimulationResult
+from repro.sim.runner import run_in_pool
 from repro.sim.simulator import Simulator
 from repro.workload.trace import PreparedTrace
 
@@ -139,41 +136,23 @@ class FleetResult:
         }
 
 
-#: Per-worker shared state for the parallel fleet path.
-_FLEET_CONTEXT: Dict[str, object] = {}
-
-
-def _init_fleet_worker(
+def _run_site(
+    task: Tuple[CompiledTrace, CachePolicy],
+    instrumentation: Optional[Instrumentation],
     federation: Federation,
     granularity: str,
     policy_sees_weights: bool,
     record_series: Union[bool, str],
-) -> None:
-    _FLEET_CONTEXT["args"] = (
-        federation, granularity, policy_sees_weights, record_series
-    )
-
-
-def _run_fleet_task(
-    task: Tuple[str, CompiledTrace, CachePolicy]
 ) -> SimulationResult:
-    _, compiled, policy = task
-    federation, granularity, policy_sees_weights, record_series = (
-        _FLEET_CONTEXT["args"]
-    )
-    # Counters-only sink; the snapshot rides home on the result so the
-    # parent can aggregate fleet telemetry in client order.
-    telemetry = Instrumentation(max_events=0)
+    """One client site's replay in a pool worker."""
+    compiled, policy = task
     simulator = Simulator(
         federation,
         granularity,
         policy_sees_weights,
-        instrumentation=telemetry,
+        instrumentation=instrumentation,
     )
-    result = simulator.run(compiled, policy, record_series=record_series)
-    result.worker_pid = os.getpid()
-    result.telemetry = telemetry.snapshot()
-    return result
+    return simulator.run(compiled, policy, record_series=record_series)
 
 
 def simulate_fleet(
@@ -241,51 +220,31 @@ def simulate_fleet(
         )
         return _aggregate(clients, cooperative_outcomes, instrumentation)
 
-    outcomes: Optional[List[SimulationResult]] = None
-    if parallel and len(clients) > 1:
-        workers = max_workers or (os.cpu_count() or 1)
-        workers = max(1, min(workers, len(clients)))
-        if workers > 1:
-            # Compile every client's stream once in the parent; workers
-            # receive the pickle-cheap compiled form instead of
-            # re-attributing yields per site.
-            pipeline = DecisionPipeline(
-                federation, granularity, policy_sees_weights
-            )
-            tasks = [
-                (
-                    client.name,
-                    pipeline.compile_trace(client.trace),
-                    client.policy,
-                )
-                for client in clients
-            ]
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_fleet_worker,
-                    initargs=(
-                        federation,
-                        granularity,
-                        policy_sees_weights,
-                        record_series,
-                    ),
-                ) as pool:
-                    outcomes = list(pool.map(_run_fleet_task, tasks))
-            except (BrokenProcessPool, pickle.PicklingError, OSError):
-                outcomes = None  # fall back to serial below
+    simulator = Simulator(
+        federation,
+        granularity,
+        policy_sees_weights,
+        instrumentation=instrumentation,
+    )
+    # Compile every client's stream once, here: pool workers receive
+    # the pickle-cheap compiled form instead of re-attributing yields
+    # per site, and a serial replay runs the same streams in place.
+    compile_trace = simulator.pipeline.compile_trace
+    tasks = [
+        (compile_trace(client.trace), client.policy) for client in clients
+    ]
+    outcomes = run_in_pool(
+        _run_site,
+        tasks,
+        (federation, granularity, policy_sees_weights, record_series),
+        parallel,
+        max_workers,
+        instrumentation,
+    )
     if outcomes is None:
-        simulator = Simulator(
-            federation,
-            granularity,
-            policy_sees_weights,
-            instrumentation=instrumentation,
-        )
         outcomes = [
-            simulator.run(
-                client.trace, client.policy, record_series=record_series
-            )
-            for client in clients
+            simulator.run(compiled, policy, record_series=record_series)
+            for compiled, policy in tasks
         ]
 
     return _aggregate(clients, outcomes, instrumentation)
@@ -301,9 +260,6 @@ def _aggregate(
     for client, outcome in zip(clients, outcomes):
         result.per_client[client.name] = outcome
     if instrumentation is not None:
-        for outcome in outcomes:
-            if outcome.telemetry is not None:
-                instrumentation.merge_snapshot(outcome.telemetry)
         instrumentation.count("fleet.clients", len(clients))
         instrumentation.count("fleet.wan_bytes", result.total_bytes)
     return result

@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment output: tables and ASCII charts.
 
-The benchmark harness prints the same rows and series the paper's tables
-and figures report; these helpers keep that presentation consistent.
+The experiment modules print the same rows and series the paper's
+tables and figures report; these helpers keep that presentation consistent.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -217,33 +218,77 @@ def build_fleet(
 #: worker instead of once per task.
 _WORKER_CONTEXT: Dict[str, object] = {}
 
+#: One replay in a worker: ``body(task, instrumentation, *shared)``.
+PoolBody = Callable[..., SimulationResult]
 
-def _init_worker(
+
+def _init_worker(body: PoolBody, *shared: object) -> None:
+    _WORKER_CONTEXT["job"] = (body, shared)
+
+
+def _run_pooled(task: object) -> SimulationResult:
+    body, shared = _WORKER_CONTEXT["job"]
+    # Counters-only sink: event bodies stay in the worker, the snapshot
+    # (cheap, JSON-safe) rides back on the result for the parent to
+    # merge in deterministic task order.
+    telemetry = Instrumentation(max_events=0)
+    result = body(task, telemetry, *shared)
+    result.worker_pid = os.getpid()
+    result.telemetry = telemetry.snapshot()
+    return result
+
+
+def run_in_pool(
+    body: PoolBody,
+    tasks: Sequence[object],
+    shared: Tuple[object, ...],
+    parallel: bool,
+    max_workers: Optional[int],
+    instrumentation: Optional[Instrumentation] = None,
+) -> Optional[List[SimulationResult]]:
+    """Run ``body(task, telemetry, *shared)`` per task across processes.
+
+    Results come back in task order, and each worker's counter snapshot
+    merges into ``instrumentation`` in that same order (events stay
+    worker-local — only counter/stage aggregates cross the boundary).
+    ``shared`` crosses once per worker, through the pool initializer.
+    Returns ``None`` when the caller should run serially instead: not
+    ``parallel``, fewer than two workers' worth of tasks, or a platform
+    that cannot run a process pool (no fork/spawn, unpicklable state).
+    """
+    if not parallel or len(tasks) < 2:
+        return None
+    workers = min(max_workers or (os.cpu_count() or 1), len(tasks))
+    if workers < 2:
+        return None
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(body, *shared),
+        ) as pool:
+            outcomes = list(pool.map(_run_pooled, tasks))
+    except (BrokenProcessPool, pickle.PicklingError, OSError):
+        return None
+    if instrumentation is not None:
+        for outcome in outcomes:
+            instrumentation.merge_snapshot(outcome.telemetry)
+    return outcomes
+
+
+def _run_cell(
+    task: Tuple[str, int],
+    instrumentation: Optional[Instrumentation],
     trace: CompiledTrace,
     federation: Federation,
     granularity: str,
     record_series: Union[bool, str],
     policy_sees_weights: bool,
-    faults: Optional[FaultSchedule] = None,
-    partial_results: bool = False,
-) -> None:
-    _WORKER_CONTEXT["args"] = (
-        trace, federation, granularity, record_series, policy_sees_weights,
-        faults, partial_results,
-    )
-
-
-def _run_task(task: Tuple[str, int]) -> SimulationResult:
+    faults: Optional[FaultSchedule],
+    partial_results: bool,
+) -> SimulationResult:
     policy_name, capacity = task
-    (
-        trace, federation, granularity, record_series, policy_sees_weights,
-        faults, partial_results,
-    ) = _WORKER_CONTEXT["args"]
-    # Counters-only sink: event bodies stay in the worker, the snapshot
-    # (cheap, JSON-safe) rides back on the result for the parent to
-    # merge in deterministic task order.
-    telemetry = Instrumentation(max_events=0)
-    result = run_single(
+    return run_single(
         trace,
         federation,
         policy_name,
@@ -251,31 +296,10 @@ def _run_task(task: Tuple[str, int]) -> SimulationResult:
         granularity,
         record_series=record_series,
         policy_sees_weights=policy_sees_weights,
-        instrumentation=telemetry,
+        instrumentation=instrumentation,
         faults=faults,
         partial_results=partial_results,
     )
-    result.worker_pid = os.getpid()
-    result.telemetry = telemetry.snapshot()
-    return result
-
-
-def merge_worker_telemetry(
-    instrumentation: Optional[Instrumentation],
-    outcomes: Sequence[SimulationResult],
-) -> None:
-    """Fold worker telemetry snapshots into the caller's sink.
-
-    Merged in the given (deterministic submission) order, so parallel
-    aggregation is reproducible run to run.  Results without telemetry
-    (serial in-process runs, whose events already flowed into the sink)
-    are skipped.
-    """
-    if instrumentation is None:
-        return
-    for outcome in outcomes:
-        if outcome.telemetry is not None:
-            instrumentation.merge_snapshot(outcome.telemetry)
 
 
 def _run_cells(
@@ -294,14 +318,9 @@ def _run_cells(
     """Run (policy, capacity) cells, optionally across processes.
 
     Results come back in task order either way, so parallel and serial
-    execution are interchangeable.  If the platform cannot run a
-    process pool (no fork/spawn, unpicklable state), we fall back to
-    serial execution rather than failing the experiment.
-
-    When ``instrumentation`` is supplied, serial cells emit into it
-    directly; parallel cells record counters in their worker process
-    and the snapshots are merged back in task order (events stay
-    worker-local — only counter/stage aggregates cross the boundary).
+    execution are interchangeable (see :func:`run_in_pool`, which also
+    falls back to serial when the platform cannot run a pool).  Serial
+    cells emit into ``instrumentation`` directly.
 
     The trace is compiled once here — serial cells share the memoized
     stream, parallel workers receive the compiled form in their
@@ -311,45 +330,23 @@ def _run_cells(
     compiled = DecisionPipeline(
         federation, granularity, policy_sees_weights
     ).compile_trace(trace)
-    if parallel and len(tasks) > 1:
-        workers = max_workers or (os.cpu_count() or 1)
-        workers = max(1, min(workers, len(tasks)))
-        if workers > 1:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        compiled,
-                        federation,
-                        granularity,
-                        record_series,
-                        policy_sees_weights,
-                        faults,
-                        partial_results,
-                    ),
-                ) as pool:
-                    outcomes = list(pool.map(_run_task, tasks))
-            except (BrokenProcessPool, pickle.PicklingError, OSError):
-                pass  # fall back to in-process execution below
-            else:
-                merge_worker_telemetry(instrumentation, outcomes)
-                return outcomes
-    return [
-        run_single(
-            compiled,
-            federation,
-            name,
-            capacity,
-            granularity,
-            record_series=record_series,
-            policy_sees_weights=policy_sees_weights,
-            instrumentation=instrumentation,
-            faults=faults,
-            partial_results=partial_results,
-        )
-        for name, capacity in tasks
-    ]
+    shared = (
+        compiled,
+        federation,
+        granularity,
+        record_series,
+        policy_sees_weights,
+        faults,
+        partial_results,
+    )
+    outcomes = run_in_pool(
+        _run_cell, tasks, shared, parallel, max_workers, instrumentation
+    )
+    if outcomes is None:
+        outcomes = [
+            _run_cell(task, instrumentation, *shared) for task in tasks
+        ]
+    return outcomes
 
 
 def compare_policies(

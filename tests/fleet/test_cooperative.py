@@ -116,30 +116,38 @@ class TestGoldenEquivalence:
             assert left.loads == right.loads
 
 
+#: Fleet sizes the savings claim is checked at; every shard sees at
+#: least two queries, so each object is loaded by several shards.
+FLEET_SIZES = (4, 16, 64)
+
+
 class TestCooperativeSavings:
     def test_wan_strictly_below_independent(self, federation):
-        independent = simulate_fleet(
-            federation, alternating_fleet(federation)
-        )
-        cooperative = simulate_fleet(
-            federation,
-            alternating_fleet(federation),
-            cooperative=True,
-            probe_all_siblings=True,
-        )
-        assert cooperative.peer_hits > 0
-        assert cooperative.total_bytes < independent.total_bytes
-        # Identical decisions mean every peer hit replaces an equal
-        # backend load: the WAN saving IS the peer traffic.
-        assert (
-            independent.total_bytes - cooperative.total_bytes
-            == cooperative.peer_bytes
-        )
-        # Peer links are cheaper than the backend WAN, so the weighted
-        # cost drops too (not just raw bytes moved off the backbone).
-        assert cooperative.weighted_cost < independent.weighted_cost
-        assert independent.peer_bytes == 0
-        assert independent.peer_hits == 0
+        for shards in FLEET_SIZES:
+            repeats = max(20, shards)
+            independent = simulate_fleet(
+                federation, alternating_fleet(federation, shards, repeats)
+            )
+            cooperative = simulate_fleet(
+                federation,
+                alternating_fleet(federation, shards, repeats),
+                cooperative=True,
+                probe_all_siblings=True,
+            )
+            assert cooperative.peer_hits > 0, shards
+            assert cooperative.total_bytes < independent.total_bytes
+            # Identical decisions mean every peer hit replaces an equal
+            # backend load: the WAN saving IS the peer traffic.
+            assert (
+                independent.total_bytes - cooperative.total_bytes
+                == cooperative.peer_bytes
+            )
+            # Peer links are cheaper than the backend WAN, so the
+            # weighted cost drops too (not just raw bytes moved off the
+            # backbone).
+            assert cooperative.weighted_cost < independent.weighted_cost
+            assert independent.peer_bytes == 0
+            assert independent.peer_hits == 0
 
     def test_probe_all_siblings_finds_at_least_owner_hits(
         self, federation

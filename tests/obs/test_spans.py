@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.pipeline import DecisionPipeline
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.errors import ConfigurationError
 from repro.federation import Federation
@@ -142,11 +143,17 @@ class TestNullTracer:
             assert active is None
         tracer.reset()
 
-    def test_live_tracer_normalizes(self):
+    def test_live_tracer_normalizes(self, federation):
         assert live_tracer(None) is None
         assert live_tracer(NullTracer()) is None
         real = SpanTracer()
         assert live_tracer(real) is real
+        # A disabled tracer leaves the decision path exactly the bare
+        # (tracer=None) path: both drivers hold no tracer at all.
+        pipeline = DecisionPipeline(federation, tracer=NullTracer())
+        assert pipeline.tracer is None
+        simulator = Simulator(federation, tracer=NullTracer())
+        assert simulator.pipeline.tracer is None
 
 
 class TestSpanSerialization:

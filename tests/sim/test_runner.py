@@ -192,6 +192,51 @@ class TestParallelExecution:
         assert None not in pids  # every cell ran through the pool
         assert os.getpid() not in pids  # ...in a child process
 
+    @pytest.mark.parametrize("driver", ["compare_policies", "simulate_fleet"])
+    def test_pool_failure_falls_back_to_serial(
+        self, federation, monkeypatch, driver
+    ):
+        """A platform that cannot start a process pool gets the serial
+        results, telemetry included, instead of an error."""
+        from repro.core.instrumentation import Instrumentation
+        from repro.sim import runner
+        from repro.sim.multi import ClientSite, simulate_fleet
+
+        trace = make_trace(120)
+        capacity = federation.total_database_bytes() // 2
+
+        def run(**parallel_kwargs):
+            sink = Instrumentation(max_events=0)
+            if driver == "compare_policies":
+                results = compare_policies(
+                    trace, federation, capacity, "table",
+                    policies=self.POLICIES, record_series=False,
+                    instrumentation=sink, **parallel_kwargs,
+                )
+            else:
+                clients = [
+                    ClientSite(
+                        name,
+                        make_trace(60, name),
+                        build_policy(
+                            name, capacity, trace, federation, "table"
+                        ),
+                    )
+                    for name in self.POLICIES
+                ]
+                results = simulate_fleet(
+                    federation, clients, instrumentation=sink,
+                    **parallel_kwargs,
+                ).per_client
+            return results, sink.snapshot()
+
+        def no_pool(*args, **kwargs):
+            raise OSError("process pools are unavailable")
+
+        serial = run()
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        assert run(parallel=True, max_workers=2) == serial
+
     def test_serial_results_carry_no_worker_pid(self, federation, trace):
         result = run_single(trace, federation, "no-cache", 100, "table")
         assert result.worker_pid is None
