@@ -417,17 +417,23 @@ LOCK_GUARDED_OWNERS: FrozenSet[str] = frozenset(
     {"BypassObjectCache", "VictimHeap", "TrafficLedger"}
 )
 
-#: The sanctioned lock-holder seam: the ``DecisionGate`` method that
-#: takes the decision lock before running the shared per-query step.
-#: Service code reaching guarded state through any other path defeats
-#: the lock.
+#: The sanctioned lock-holder seam: the ``DecisionGate`` methods that
+#: take the decision lock once before running the shared per-query
+#: step — on one query, or on each query of a drained run.  Service
+#: code reaching guarded state through any other path defeats the
+#: lock.
 LOCK_HOLDER_QUALNAMES: FrozenSet[str] = frozenset(
-    {"repro.service.session.DecisionGate.locked_resolve"}
+    {
+        "repro.service.session.DecisionGate.locked_resolve",
+        "repro.service.session.DecisionGate.locked_resolve_run",
+    }
 )
 
 #: Bare-name fallback for the seam (fixture projects and re-exports
 #: resolve identically, mirroring NONDET_SEAM_NAMES).
-LOCK_HOLDER_NAMES: FrozenSet[str] = frozenset({"locked_resolve"})
+LOCK_HOLDER_NAMES: FrozenSet[str] = frozenset(
+    {"locked_resolve", "locked_resolve_run"}
+)
 
 #: Mutator bare names too generic to police by name alone — ``set``
 #: is also asyncio.Event.set, ``request`` is also

@@ -4,8 +4,10 @@ The mediator service's concurrency discipline (DESIGN.md §15) is that
 the PR-4 policy state — the Landlord victim heaps and global credit
 offset (``BypassObjectCache``/``VictimHeap``) and the federation
 ``TrafficLedger`` — mutates only under the per-federation decision
-lock, and the only sanctioned lock holder is
-:meth:`repro.service.session.DecisionGate.locked_resolve`.
+lock, and the only sanctioned lock holders are
+:meth:`repro.service.session.DecisionGate.locked_resolve` (one query)
+and :meth:`repro.service.session.DecisionGate.locked_resolve_run` (a
+drained run of queries under one acquisition).
 
 This rule polices serving code (any module with a ``service`` package
 segment) for calls around that seam: invoking a lock-guarded owner's

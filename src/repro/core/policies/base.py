@@ -9,7 +9,7 @@ charges WAN bytes according to the returned :class:`Decision`.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.events import CacheQuery, Decision
 from repro.core.store import CacheStore
@@ -99,12 +99,3 @@ class CachePolicy(abc.ABC):
             f"{type(self).__name__}(capacity={self.capacity_bytes}, "
             f"used={self.store.used_bytes})"
         )
-
-
-def missing_objects(policy: CachePolicy, query: CacheQuery) -> List:
-    """The query's object requests not currently resident."""
-    return [
-        request
-        for request in query.objects
-        if request.object_id not in policy.store
-    ]

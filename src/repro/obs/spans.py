@@ -231,9 +231,6 @@ class ActiveSpan:
         self.attrs: Dict[str, object] = {}
         self._wall_start = wall_start
 
-    def add_bytes(self, count: int) -> None:
-        self.bytes_moved += int(count)
-
     def set(self, key: str, value: object) -> None:
         self.attrs[key] = value
 

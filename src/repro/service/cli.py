@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight", default="8",
-        help="concurrent decision workers",
+        help="queries decided per decision-lock hold",
     )
     parser.add_argument(
         "--tenant-rate", default="0",

@@ -36,13 +36,13 @@ def parse_port(raw: str, source: str = "--port") -> int:
 
 
 def parse_max_inflight(raw: str, source: str = "--max-inflight") -> int:
-    """Parse the global in-service concurrency bound (>= 1)."""
+    """Parse the run-length bound: queries per decision-lock hold (>= 1)."""
     return parse_bounded_int(
         raw,
         source=source,
         minimum=1,
         maximum=None,
-        what="in-flight query bound",
+        what="queries-per-run bound",
     )
 
 
@@ -90,9 +90,9 @@ class ServiceConfig:
     Attributes:
         host: Bind address (loopback by default — expose deliberately).
         port: TCP port; 0 picks a free ephemeral port.
-        max_inflight: Global bound on queries concurrently in full
-            service (decided + shipping); admitted work beyond it
-            waits in its tenant's bounded queue.
+        max_inflight: Run length: at most this many admitted queries
+            are decided under one hold of the decision lock and ship
+            together; the rest wait in their tenants' bounded queues.
         tenant_rate: Token-bucket refill per tenant in tokens per
             logical arrival tick; ``0.0`` disables rate limiting.
         tenant_burst: Token-bucket capacity (burst allowance).

@@ -29,6 +29,7 @@ import http.client
 import sys
 import time
 import urllib.parse
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -78,21 +79,11 @@ class DriveReport:
 
     @property
     def by_status(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for response in self.responses:
-            counts[response.status] = (
-                counts.get(response.status, 0) + 1
-            )
-        return counts
+        return dict(Counter(r.status for r in self.responses))
 
     @property
     def by_tenant(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for response in self.responses:
-            counts[response.tenant] = (
-                counts.get(response.tenant, 0) + 1
-            )
-        return counts
+        return dict(Counter(r.tenant for r in self.responses))
 
     @property
     def wan_bytes(self) -> int:
@@ -314,6 +305,15 @@ def check_conservation(
     return failures
 
 
+def check_complete(report: DriveReport, sent: int) -> List[str]:
+    """Every request line sent must come back answered (a response or
+    an in-band error).  Returns failure lines (empty == complete)."""
+    answered = len(report.responses) + len(report.errors)
+    if answered == sent:
+        return []
+    return [f"{answered} request lines answered of {sent} sent"]
+
+
 def _summary(report: DriveReport) -> str:
     statuses = ", ".join(
         f"{status}={count}"
@@ -389,24 +389,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError:
         print(f"no such trace file: {args.trace}", file=sys.stderr)
         return 2
-    stream = fan_out(MaterializedStream(prepared), tenants, seed)
+    arrivals = list(fan_out(MaterializedStream(prepared), tenants, seed))
     try:
         wait_ready(args.url)
         report = drive_http(
-            args.url, stream, batch_size=batch, serial=args.serial
+            args.url, arrivals, batch_size=batch, serial=args.serial
         )
         print(_summary(report))
         for error in report.errors:
             print(f"error response: {error}", file=sys.stderr)
-        failures: List[str] = []
+        failures = check_complete(report, len(arrivals))
+        for failure in failures:
+            print(f"completeness: {failure}", file=sys.stderr)
         if args.check_conservation:
-            failures = check_conservation(
+            conservation = check_conservation(
                 http_get(args.url, "/metrics")
             )
-            for failure in failures:
+            for failure in conservation:
                 print(f"conservation: {failure}", file=sys.stderr)
-            if not failures:
+            if not conservation:
                 print("per-tenant series sum to untagged totals")
+            failures += conservation
         if args.shutdown:
             print(http_post(args.url, "/shutdown", "").strip())
     except (ConfigurationError, OSError) as exc:

@@ -17,20 +17,22 @@ Routes:
   trace/span sinks deterministically).
 
 Request flow: every arrival advances the logical admission clock and
-runs the shedding ladder (:class:`~repro.service.scheduler.AdmissionController`).
-Admitted queries wait in their tenant's bounded queue; a drain loop
-feeds them round-robin to worker tasks, bounded by
-``config.max_inflight``.  Workers decide under the per-federation
-decision lock (:class:`~repro.service.session.DecisionGate` — the
-sanctioned seam) and ship the WAN transfer *outside* it, so loads and
-bypasses overlap while the next query decides.
+runs the shedding ladder (:class:`~repro.service.scheduler.AdmissionController`);
+a POST admits all its lines in one synchronous pass.  Admitted queries
+wait in their tenant's bounded queue; one drain loop pops them in runs
+of up to ``config.max_inflight``, round-robin across tenants, decides
+each run under one hold of the per-federation decision lock
+(:class:`~repro.service.session.DecisionGate` — the sanctioned seam),
+settles the submitters' futures, and ships the run's WAN transfer
+*outside* the lock with one cooperative yield.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Awaitable, Dict, List, Optional, Tuple, Union
 
 from repro.core.instrumentation import (
     DecisionEvent,
@@ -56,21 +58,18 @@ from repro.service.scheduler import (
     AdmissionController,
     AdmissionStatus,
 )
-from repro.service.session import DecisionGate
+from repro.service.session import DecisionGate, Resolved
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import Decision
-    from repro.core.pipeline import QueryAccounting
     from repro.core.policies.base import CachePolicy
     from repro.federation.federation import Federation
     from repro.obs.slo import SLOEngine
     from repro.obs.spans import Tracer
     from repro.sim.results import SimulationResult
-    from repro.workload.trace import PreparedQuery
 
-#: One queued unit: the prepared query and the future its submitter
-#: awaits (resolved with (index, decision, accounting)).
-_QueueItem = Tuple["PreparedQuery", "asyncio.Future[Tuple[int, object, object]]"]
+#: One queued unit: the admitted request and the future its submitter
+#: awaits for the response.
+_QueueItem = Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]
 
 
 class _SLOForwarder(Probe):
@@ -150,55 +149,58 @@ class MediatorService:
     async def submit(self, request: QueryRequest) -> QueryResponse:
         """Run one request through admission and the decision path.
 
-        The in-process entry point — the HTTP route, the loadgen's
-        in-process mode, and the tests all land here.  Arrival order
-        defines the logical admission clock.
+        The in-process entry point — the loadgen's in-process mode and
+        the tests land here; the HTTP route shares its admission body.
+        Arrival order defines the logical admission clock.
+        """
+        return await self._admit(request)
+
+    def _admit(self, request: QueryRequest) -> Awaitable[QueryResponse]:
+        """Admit one arrival now; the returned awaitable answers it.
+
+        Synchronous, so a POST admits all its lines before any is
+        decided; shed and refused ones are decided when awaited.
         """
         tick = self._arrivals
         self._arrivals += 1
         status = self.admission.admit(request.tenant, tick)
-        prepared = request.prepared
-        if status is AdmissionStatus.REJECT:
-            index, _, accounting = await self.gate.locked_resolve(
-                prepared, outcome="unavailable"
-            )
-            return self._response(
-                request, "rejected", "unavailable", index, accounting
-            )
-        if status is AdmissionStatus.SHED:
-            index, _, accounting = await self.gate.locked_resolve(
-                prepared, outcome="shed"
-            )
-            # Bypass shipping overlaps outside the decision lock.
-            await self._ship(accounting)
-            return self._response(
-                request, "shed", "shed", index, accounting
-            )
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Tuple[int, object, object]]" = (
-            loop.create_future()
+        if status is not AdmissionStatus.ADMIT:
+            return self._refuse(request, status)
+        future: "asyncio.Future[QueryResponse]" = (
+            asyncio.get_running_loop().create_future()
         )
-        self.admission.enqueue(request.tenant, (prepared, future))
+        self.admission.enqueue(request.tenant, (request, future))
         self._ensure_drain()
         self._ready.set()
-        index, decision, accounting = await future  # type: ignore[misc]
-        outcome = (
-            "served"
-            if decision.served_from_cache  # type: ignore[attr-defined]
-            else "bypassed"
+        return future
+
+    async def _refuse(
+        self, request: QueryRequest, status: AdmissionStatus
+    ) -> QueryResponse:
+        """Decide a shed (bypass-only) or rejected (refused) arrival."""
+        if status is AdmissionStatus.REJECT:
+            resolved = await self.gate.locked_resolve(
+                request.prepared, outcome="unavailable"
+            )
+            return self._response(request, resolved, "rejected", "unavailable")
+        resolved = await self.gate.locked_resolve(
+            request.prepared, outcome="shed"
         )
-        return self._response(
-            request, "ok", outcome, index, accounting  # type: ignore[arg-type]
-        )
+        # Bypass shipping overlaps outside the decision lock.
+        await self._ship()
+        return self._response(request, resolved, "shed", "shed")
 
     def _response(
         self,
         request: QueryRequest,
-        status: str,
-        outcome: str,
-        index: int,
-        accounting: "QueryAccounting",
+        resolved: Resolved,
+        status: str = "ok",
+        outcome: str = "",
     ) -> QueryResponse:
+        """The wire answer; full service reports served or bypassed."""
+        index, decision, accounting = resolved
+        if not outcome:
+            outcome = "served" if decision.served_from_cache else "bypassed"
         return QueryResponse(
             request_id=request.request_id,
             tenant=request.prepared.tenant,
@@ -209,12 +211,12 @@ class MediatorService:
             weighted_cost=float(accounting.weighted_cost),
         )
 
-    async def _ship(self, accounting: "QueryAccounting") -> None:
-        """The (simulated) WAN transfer window.
+    async def _ship(self) -> None:
+        """The (simulated) WAN transfer window of a run or a shed query.
 
-        One cooperative yield per transfer: enough to let another
-        worker take the decision lock while this query's bytes are "on
-        the wire", without coupling replay speed to wall time.
+        One cooperative yield, after the run's submitters are settled:
+        they answer, and other connections admit, while its bytes are
+        "on the wire" — without coupling replay speed to wall time.
         """
         await asyncio.sleep(0)
 
@@ -225,40 +227,33 @@ class MediatorService:
             )
 
     async def _drain(self) -> None:
-        """Feed queued work to workers, round-robin, inflight-bounded."""
-        while True:
-            await self._ready.wait()
-            self._ready.clear()
-            while self._inflight < self.config.max_inflight:
-                item = self.admission.next_ready()
-                if item is None:
-                    break
-                _tenant, (prepared, future) = item
-                self._inflight += 1
-                asyncio.get_running_loop().create_task(
-                    self._serve_one(prepared, future)
-                )
+        """Decide queued work in runs; return once shutdown leaves none.
 
-    async def _serve_one(
-        self,
-        prepared: "PreparedQuery",
-        future: "asyncio.Future[Tuple[int, object, object]]",
-    ) -> None:
-        try:
-            index, decision, accounting = (
-                await self.gate.locked_resolve(prepared)
-            )
-            # Loads/bypasses overlap outside the lock: the next query
-            # decides while this one's bytes ship.
-            await self._ship(accounting)
-            if not future.cancelled():
-                future.set_result((index, decision, accounting))
-        except Exception as exc:  # surface failures to the submitter
-            if not future.cancelled():
-                future.set_exception(exc)
-        finally:
-            self._inflight -= 1
-            self._ready.set()
+        A run is up to ``max_inflight`` queries popped round-robin and
+        decided under one decision-lock hold; its futures are then
+        settled and it ships.
+        """
+        limit = self.config.max_inflight
+        while True:
+            self._ready.clear()
+            queued = iter(self.admission.next_ready, None)
+            while run := [item for _, item in islice(queued, limit)]:
+                self._inflight = len(run)
+                resolved = await self.gate.locked_resolve_run(
+                    [request.prepared for request, _ in run]
+                )
+                for (request, future), outcome in zip(run, resolved):
+                    if future.done():  # the submitter went away
+                        continue
+                    if isinstance(outcome, Exception):
+                        future.set_exception(outcome)
+                    else:
+                        future.set_result(self._response(request, outcome))
+                await self._ship()
+                self._inflight = 0
+            if self._shutdown.is_set():
+                return
+            await self._ready.wait()
 
     def result(self) -> "SimulationResult":
         """The accumulated run accounting (run_stream shape)."""
@@ -308,15 +303,17 @@ class MediatorService:
         await self.close()
 
     async def close(self) -> None:
-        """Stop accepting connections and cancel the drain loop."""
+        """Stop accepting connections; decide the admitted backlog (the
+        drain loop runs it through the run seam, then exits)."""
         self._shutdown.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            self._drain_task = None
+        task, self._drain_task = self._drain_task, None
+        if task is not None:
+            self._ready.set()
+            await task
 
     async def _on_connection(
         self,
@@ -426,28 +423,32 @@ class MediatorService:
                 f"request body is not UTF-8: {exc.reason}\n".encode("utf-8"),
             )
         lines = [line for line in text.splitlines() if line.strip()]
-        responses: List[str] = await asyncio.gather(
-            *(
-                self._handle_line(line, line_no)
-                for line_no, line in enumerate(lines)
-            )
-        )
-        payload = "".join(text + "\n" for text in responses)
+        answers: List[Union[str, Awaitable[QueryResponse]]] = []
+        for line_no, line in enumerate(lines):
+            try:
+                request = decode_request(line, line_no)
+            except ProtocolError as exc:
+                answers.append(_error_line(exc, line_no))
+                continue
+            answers.append(self._admit(request))
+        payload = []
+        for line_no, answer in enumerate(answers):
+            if not isinstance(answer, str):
+                try:
+                    answer = encode_response(await answer)
+                except Exception as exc:  # fails this line, not the POST
+                    answer = _error_line(exc, line_no)
+            payload.append(answer + "\n")
         return (
             "200 OK",
             "application/jsonlines; charset=utf-8",
-            payload.encode("utf-8"),
+            "".join(payload).encode("utf-8"),
         )
 
-    async def _handle_line(self, line: str, line_no: int) -> str:
-        try:
-            request = decode_request(line, line_no)
-        except ProtocolError as exc:
-            return json.dumps(
-                {"error": str(exc), "id": line_no}, sort_keys=True
-            )
-        response = await self.submit(request)
-        return encode_response(response)
+
+def _error_line(exc: Exception, line_no: int) -> str:
+    """The in-band answer to a request line that got no response."""
+    return json.dumps({"error": str(exc), "id": line_no}, sort_keys=True)
 
 
 __all__ = ["MediatorService"]

@@ -3,27 +3,28 @@
 Concurrency discipline (DESIGN.md §15): the PR-4 policy state — the
 Landlord victim heaps, the global credit offset, the traffic ledger —
 mutates **only** under the per-federation decision lock, and only
-inside :meth:`DecisionGate.locked_resolve`.  Everything
-else in :mod:`repro.service` (scheduler, server, loadgen) treats
-policy, result, and pipeline as opaque: repro-lint RPR011 flags any
-service code path that reaches a decision-lock-guarded mutator without
-going through this seam.
+inside the :class:`DecisionGate` holders.  Everything else in
+:mod:`repro.service` (scheduler, server, loadgen) treats policy,
+result, and pipeline as opaque: repro-lint RPR011 flags any service
+code path that reaches a decision-lock-guarded mutator without going
+through this seam.
 
 Loads and bypasses *overlap* outside the lock: the gate returns as
 soon as the decision is charged, and the caller ships the (simulated)
 WAN transfer at its own pace while the next query decides.  Ordering
 of decisions — which is all the policy state ever observes — is
-therefore exactly the lock-acquisition order, which in a single-tenant
-serial run is trace order: that is what makes the service
-byte-identical to :meth:`~repro.sim.simulator.Simulator.run_stream`
-in that mode (the golden-equivalence suite pins it).
+therefore exactly the lock-acquisition order (run order within a
+run), which in a single-tenant serial run is trace order: that is what
+makes the service byte-identical to
+:meth:`~repro.sim.simulator.Simulator.run_stream` in that mode (the
+golden-equivalence suite pins it).
 """
 
 from __future__ import annotations
 
 import asyncio
 import weakref
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.core.events import Decision
 from repro.core.pipeline import DecisionPipeline
@@ -34,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import QueryAccounting
     from repro.core.policies.base import CachePolicy
     from repro.workload.trace import PreparedQuery
+
+#: What deciding one query yields: its index, decision and accounting.
+Resolved = Tuple[int, Decision, "QueryAccounting"]
 
 #: federation -> its decision lock.  Weak keys: a lock lives exactly
 #: as long as the federation whose shared cache it guards, and two
@@ -55,13 +59,13 @@ def decision_lock_for(federation: object) -> asyncio.Lock:
 class DecisionGate:
     """The sanctioned lock-holder seam around one shared cache.
 
-    One gate wraps one (pipeline, policy, result) triple.
-    :meth:`locked_resolve` is the *only* place in :mod:`repro.service`
-    allowed to touch decision-lock-guarded state (RPR011): it takes
-    the per-federation decision lock, runs the shared per-query
-    :meth:`~repro.core.pipeline.DecisionPipeline.step` on the next
-    admitted query, and releases the lock before the caller ships any
-    bytes.
+    One gate wraps one (pipeline, policy, result) triple.  Its two
+    holders, :meth:`locked_resolve` (one query) and
+    :meth:`locked_resolve_run` (a run), are the *only* places in
+    :mod:`repro.service` allowed to touch decision-lock-guarded state
+    (RPR011): each takes the per-federation decision lock once, runs
+    the shared per-query step on every query it holds, and releases
+    the lock before the caller ships any bytes.
     """
 
     def __init__(
@@ -121,25 +125,47 @@ class DecisionGate:
         aggregate accounting stays a partition and the availability
         SLO sees every refusal.
         """
-        pipeline = self.pipeline
         async with self._lock:
-            index = self._decided
-            self._decided += 1
-            self._sequence_bytes += prepared.bypass_bytes
-            if outcome == "shed":
-                self._shed += 1
-            elif outcome:
-                self._rejected += 1
-            decision, accounting = pipeline.step(
-                pipeline.compile_query(prepared, index),
-                self.policy,
-                self.result,
-                index,
-                source=self.source,
-                outcome=outcome,
-            )
-            if self._series is not None:
-                self._series.observe(self.result.breakdown.total_bytes)
+            return self._resolve(prepared, outcome)
+
+    async def locked_resolve_run(
+        self, run: Sequence["PreparedQuery"]
+    ) -> List[Union[Resolved, Exception]]:
+        """Decide a run of admitted queries under one lock acquisition.
+
+        Each runs the :meth:`locked_resolve` body, in run order; one
+        whose step raises gets its exception in its slot, and the rest
+        of the run is still decided.
+        """
+        resolved: List[Union[Resolved, Exception]] = []
+        async with self._lock:
+            for prepared in run:
+                try:
+                    resolved.append(self._resolve(prepared, ""))
+                except Exception as exc:
+                    resolved.append(exc)
+        return resolved
+
+    def _resolve(self, prepared: "PreparedQuery", outcome: str) -> Resolved:
+        """The per-query body both holders run with the lock held."""
+        index = self._decided
+        self._decided += 1
+        self._sequence_bytes += prepared.bypass_bytes
+        if outcome == "shed":
+            self._shed += 1
+        elif outcome:
+            self._rejected += 1
+        pipeline = self.pipeline
+        decision, accounting = pipeline.step(
+            pipeline.compile_query(prepared, index),
+            self.policy,
+            self.result,
+            index,
+            source=self.source,
+            outcome=outcome,
+        )
+        if self._series is not None:
+            self._series.observe(self.result.breakdown.total_bytes)
         return index, decision, accounting
 
     def finalize(self) -> SimulationResult:

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight", default="8", metavar="N",
-        help="concurrent decision workers (--serve)",
+        help="queries decided per decision-lock hold (--serve)",
     )
     parser.add_argument(
         "--tenant-rate", default="0", metavar="RATE",

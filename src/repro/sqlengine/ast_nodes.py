@@ -7,7 +7,7 @@ extract referenced tables/columns and predicate structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Union
 
 
@@ -228,8 +228,3 @@ class SelectStatement:
         names = [ref.table for ref in self.tables]
         names.extend(join.table.table for join in self.joins)
         return names
-
-    def all_table_refs(self) -> List[TableRef]:
-        refs = list(self.tables)
-        refs.extend(join.table for join in self.joins)
-        return refs

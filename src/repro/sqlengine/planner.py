@@ -268,19 +268,6 @@ class QueryPlan:
         )
         return f"QueryPlan({body})"
 
-    def binding_for_table(self, table_name: str) -> Optional[str]:
-        for entry in self.scope:
-            if entry.table_name.lower() == table_name.lower():
-                return entry.binding
-        return None
-
-
-class SchemaProvider:
-    """Minimal protocol the planner needs: table-schema lookup by name."""
-
-    def table_schema(self, name: str) -> TableSchema:  # pragma: no cover
-        raise NotImplementedError
-
 
 def plan_select(
     statement: SelectStatement, schemas: "SchemaLookup"

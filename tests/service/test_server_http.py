@@ -201,6 +201,27 @@ class TestLiveServer:
             metrics = loadgen.http_get(server.url, "/metrics")
             assert loadgen.check_conservation(metrics) == []
 
+    def test_late_tenant_waits_at_most_one_rotation(
+        self, prepared_trace, capacity
+    ):
+        """One POST: 30 tenant-A lines, then 2 tenant-B lines.  The
+        run drain decides B within the first rotation, not after A's
+        backlog."""
+        queries = prepared_trace.queries
+        tenants = ["a"] * 30 + ["b"] * 2
+        body = "".join(
+            encode_request(queries[position], position, tenant) + "\n"
+            for position, tenant in enumerate(tenants)
+        )
+        with _ServerThread(capacity) as server:
+            payload = loadgen.http_post(server.url, "/query", body)
+        responses = [decode_response(line) for line in payload.splitlines()]
+        assert [r.request_id for r in responses] == list(range(32))
+        assert all(r.status == "ok" for r in responses)
+        assert sorted(r.index for r in responses) == list(range(32))
+        late = [r.index for r in responses if r.tenant == "b"]
+        assert len(late) == 2 and max(late) <= 3
+
     def test_slo_route_with_engine(self, prepared_trace, capacity):
         spec = SLOSpec(
             name="http-availability",
