@@ -2,27 +2,29 @@
 
 Every replay — offline (:class:`~repro.sim.simulator.Simulator`) or
 online (:class:`~repro.core.proxy.BypassYieldProxy`) — can emit a
-structured decision trace without touching policy code: counters,
-per-query :class:`DecisionEvent` records, and named stage timers, with
-optional stdlib ``logging`` integration and pluggable :class:`Probe`
-hooks for external collectors.
+structured decision trace without touching policy code: one counter
+store and per-query :class:`DecisionEvent` records, with optional
+stdlib ``logging`` integration and pluggable :class:`Probe` hooks for
+external collectors.  Time is measured by spans
+(:mod:`repro.obs.spans`), not here.
 
 The instrumentation object is deliberately cheap: callers hold ``None``
 by default and pay nothing; when one is attached, recording a decision
-is a dataclass construction plus a few dict updates.
+is a dataclass construction plus a few dict updates.  Probes are told
+about decisions only: a scrape page reads :attr:`Probe.counters` when
+it renders, so a counter increment is one dict update whatever is
+attached.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Deque,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -31,7 +33,8 @@ from typing import (
 )
 
 #: Version tag carried by :meth:`Instrumentation.snapshot` payloads so
-#: that merge/restore code can reject incompatible shapes.
+#: that :meth:`Instrumentation.merge_snapshot` can reject incompatible
+#: shapes.
 SNAPSHOT_SCHEMA = 2
 
 #: Counters whose unit cannot be inferred from their name alone.
@@ -221,30 +224,29 @@ class DecisionEvent:
 
 
 class Probe:
-    """Pluggable hook receiving instrumentation callbacks.
+    """Pluggable hook receiving each decided query.
 
-    Subclass and override any subset; the base methods are no-ops so a
-    probe only pays for what it watches.
+    Subclass and override :meth:`on_decision`; the base method is a
+    no-op.  A probe that needs totals reads :attr:`counters` when it is
+    asked for them instead of being told of every increment.
     """
+
+    #: The counter store of the sink this probe is attached to (set by
+    #: :meth:`Instrumentation.add_probe`; empty until then).
+    counters: Mapping[str, float] = MappingProxyType({})
 
     def on_decision(self, event: DecisionEvent) -> None:
         """Called once per query decision."""
 
-    def on_counter(self, name: str, value: float) -> None:
-        """Called on every counter increment with the increment value."""
-
-    def on_stage(self, name: str, seconds: float) -> None:
-        """Called when a timed stage finishes."""
-
 
 class Instrumentation:
-    """Counters, decision events, and stage timers for one run.
+    """Counters and decision events for one run.
 
     Args:
         logger: A :class:`logging.Logger`, a logger name, or None.  When
             set, decisions are logged at DEBUG level.
         max_events: Bound on retained decision events (None keeps all;
-            0 disables event retention while keeping counters/timers).
+            0 disables event retention while keeping counters).
     """
 
     def __init__(
@@ -256,8 +258,6 @@ class Instrumentation:
             logger = logging.getLogger(logger)
         self.logger = logger
         self.counters: Dict[str, float] = {}
-        self.stage_seconds: Dict[str, float] = {}
-        self.stage_calls: Dict[str, int] = {}
         self.probes: List[Probe] = []
         self._max_events = max_events
         self.events: Deque[DecisionEvent] = deque(
@@ -282,7 +282,9 @@ class Instrumentation:
     # -- probes ---------------------------------------------------------
 
     def add_probe(self, probe: Probe) -> Probe:
-        """Attach a probe; returns it for chaining."""
+        """Attach a probe and hand it this sink's counter store;
+        returns it for chaining."""
+        probe.counters = self.counters
         self.probes.append(probe)
         return probe
 
@@ -291,25 +293,6 @@ class Instrumentation:
     def count(self, name: str, value: float = 1.0) -> None:
         """Increment counter ``name`` by ``value``."""
         self.counters[name] = self.counters.get(name, 0.0) + value
-        for probe in self.probes:
-            probe.on_counter(name, value)
-
-    # -- stage timers ---------------------------------------------------
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a named stage; accumulates across calls."""
-        start = time.perf_counter()  # repro-lint: allow[RPR002] timers are observability-only
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start  # repro-lint: allow[RPR002] timers are observability-only
-            self.stage_seconds[name] = (
-                self.stage_seconds.get(name, 0.0) + elapsed
-            )
-            self.stage_calls[name] = self.stage_calls.get(name, 0) + 1
-            for probe in self.probes:
-                probe.on_stage(name, elapsed)
 
     # -- decision events ------------------------------------------------
 
@@ -384,8 +367,8 @@ class Instrumentation:
         """Structured, merge-safe view of everything recorded so far.
 
         The payload is pure JSON-serializable data: counters annotated
-        with their units (see :func:`counter_unit`), stage timers, and
-        the event-retention accounting (``events`` retained versus
+        with their units (see :func:`counter_unit`) and the
+        event-retention accounting (``events`` retained versus
         ``events_seen`` recorded, plus the resulting truncation flag).
         :meth:`merge_snapshot` consumes exactly this shape, and
         ``reset()`` + ``merge_snapshot(snapshot())`` round-trips.
@@ -396,32 +379,10 @@ class Instrumentation:
             "counter_units": {
                 name: counter_unit(name) for name in self.counters
             },
-            "stages": {
-                name: {
-                    "seconds": seconds,
-                    "calls": self.stage_calls.get(name, 0),
-                }
-                for name, seconds in self.stage_seconds.items()
-            },
             "events": len(self.events),
             "events_seen": self.events_seen,
             "events_truncated": self.events_truncated,
         }
-
-    def merge(self, other: "Instrumentation") -> "Instrumentation":
-        """Fold another sink's recorded state into this one.
-
-        Counters and stage timers add; retained events append in
-        ``other``'s order (this sink's retention bound still applies);
-        ``events_seen`` accumulates so truncation stays visible.  Merge
-        order is the caller's iteration order, which the parallel
-        runners keep deterministic (submission order).  Probes are not
-        merged.  Returns ``self`` for chaining.
-        """
-        self.merge_snapshot(other.snapshot())
-        if self._retain_events:
-            self.events.extend(other.events)
-        return self
 
     def merge_snapshot(
         self, snapshot: Mapping[str, object]
@@ -447,40 +408,18 @@ class Instrumentation:
                 self.counters[str(name)] = (
                     self.counters.get(str(name), 0.0) + float(value)  # type: ignore[arg-type]
                 )
-        stages = snapshot.get("stages", {})
-        if isinstance(stages, Mapping):
-            for name, stage in stages.items():
-                if not isinstance(stage, Mapping):
-                    continue
-                self.stage_seconds[str(name)] = self.stage_seconds.get(
-                    str(name), 0.0
-                ) + float(stage.get("seconds", 0.0))  # type: ignore[arg-type]
-                self.stage_calls[str(name)] = self.stage_calls.get(
-                    str(name), 0
-                ) + int(stage.get("calls", 0))  # type: ignore[call-overload]
         events_seen = snapshot.get("events_seen", snapshot.get("events", 0))
         self.events_seen += int(events_seen)  # type: ignore[call-overload]
         return self
 
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Mapping[str, object]
-    ) -> "Instrumentation":
-        """Rebuild a sink from a :meth:`snapshot` payload."""
-        instrumentation = cls()
-        instrumentation.merge_snapshot(snapshot)
-        return instrumentation
-
     def reset(self) -> None:
         """Drop all recorded state (probes stay attached)."""
         self.counters.clear()
-        self.stage_seconds.clear()
-        self.stage_calls.clear()
         self.events.clear()
         self.events_seen = 0
 
     def __repr__(self) -> str:
         return (
             f"Instrumentation(counters={len(self.counters)}, "
-            f"stages={len(self.stage_seconds)}, events={len(self.events)})"
+            f"events={len(self.events)})"
         )

@@ -21,13 +21,10 @@ event for event, under both cost views and under faults (tested).
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -37,8 +34,6 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.faults.transport import ResilientTransport
-    from repro.obs.httpd import MetricsServer
-    from repro.obs.metrics import MetricsRegistry
 
 from repro.core.instrumentation import Instrumentation, served_hit
 from repro.core.pipeline import (
@@ -102,9 +97,7 @@ class MediatedWan(WanSource):
     and cache serves run through the proxy's mediator, a dark transfer
     surfacing as ``BackendUnavailable``; retries and waste are the
     transport's and the ledger's deltas.  After a step it holds what the
-    client got — ``outcome``, ``retries``, ``failed_loads`` — and it
-    times the ``proxy.decide`` and ``proxy.transfer`` stages, split at
-    :meth:`begin`.
+    client got — ``outcome``, ``retries`` and ``failed_loads``.
     """
 
     def __init__(
@@ -115,22 +108,10 @@ class MediatedWan(WanSource):
         self.mediator = mediator
         self.peer_lookup = peer_lookup
         self.faulted = mediator.transport is not None
-        self._timer: Optional[ContextManager[None]] = None
-
-    def time_stage(self, stage: Optional[str]) -> None:
-        """Stop the running stage timer, then start ``stage``'s."""
-        if self._timer is not None:
-            self._timer.__exit__(None, None, None)
-            self._timer = None
-        instrumentation = self.mediator.instrumentation
-        if stage is not None and instrumentation is not None:
-            self._timer = instrumentation.stage(stage)
-            self._timer.__enter__()
 
     def prepare(self, sql: str, plan: QueryPlan, result: ResultSet) -> None:
         """Take the next evaluated query; the policy decides next."""
         self.sql, self.plan, self.result = sql, plan, result
-        self.time_stage("proxy.decide")
 
     def _waste_so_far(self) -> Tuple[int, RawBytes, WeightedCost]:
         transport, ledger = self.mediator.transport, self.mediator.ledger
@@ -138,7 +119,6 @@ class MediatedWan(WanSource):
         return retries, ledger.retry_bytes, ledger.retry_cost
 
     def begin(self, event: CompiledQuery, index: int) -> None:
-        self.time_stage("proxy.transfer")
         if self.mediator.clock is not None:
             self.mediator.clock.advance_to(index)
         self._before = self._waste_so_far()
@@ -176,7 +156,6 @@ class MediatedWan(WanSource):
         return shipped.wan_bytes, shipped.wan_cost, OUTCOME_BYPASSED
 
     def waste(self) -> Tuple[int, RawBytes, WeightedCost]:
-        self.time_stage(None)
         retries, retry_bytes, retry_cost = self._waste_so_far()
         before = self._before
         self.retries = retries - before[0]
@@ -200,7 +179,7 @@ class BypassYieldProxy:
             simplification).  Mirrors the simulator flag — WAN charges
             on the ledger are always weighted.
         instrumentation: Optional observability sink; per-query decision
-            events and stage timers flow through it.
+            events and counters flow through it.
         transport: Optional resilient transport
             (:class:`~repro.faults.transport.ResilientTransport`).
             When set, every WAN transfer retries with backoff behind
@@ -259,9 +238,6 @@ class BypassYieldProxy:
             granularity=granularity,
             capacity_bytes=policy.capacity_bytes,
         )
-        self._metrics_registry: Optional["MetricsRegistry"] = None
-        self._metrics_server: Optional["MetricsServer"] = None
-        self._metrics_lock = threading.Lock()
         if transport is not None and instrumentation is not None:
             transport.set_counter_hook(instrumentation.count)
 
@@ -278,12 +254,6 @@ class BypassYieldProxy:
         """The WAN traffic ledger (see Figure 1's flows)."""
         return self.mediator.ledger
 
-    def _stage(self, name: str) -> ContextManager[None]:
-        instrumentation = self.pipeline.instrumentation
-        if instrumentation is None:
-            return nullcontext()
-        return instrumentation.stage(name)
-
     def query(self, sql: str) -> ProxyResponse:
         """Serve one query: plan, evaluate, attribute, then one step.
 
@@ -294,13 +264,10 @@ class BypassYieldProxy:
         is resident, and whatever remains surfaces as an
         ``"unavailable"`` response rather than an exception.
         """
-        with self._stage("proxy.plan"):
-            plan = self.mediator.plan(sql)
-        with self._stage("proxy.evaluate"):
-            result = self.mediator.evaluate(sql, plan)
+        plan = self.mediator.plan(sql)
+        result = self.mediator.evaluate(sql, plan)
         yield_bytes = result.byte_size
-        with self._stage("proxy.attribute"):
-            shares = self.pipeline.attribute(plan, yield_bytes)
+        shares = self.pipeline.attribute(plan, yield_bytes)
         index = self.totals.queries
         self.totals.queries += 1
         event = CompiledQuery(
@@ -312,12 +279,9 @@ class BypassYieldProxy:
         )
         wan = self._wan
         wan.prepare(sql, plan, result)
-        try:
-            decision, accounting = self.pipeline.step(
-                event, self.policy, self.totals, index, wan, source="proxy"
-            )
-        finally:
-            wan.time_stage(None)
+        decision, accounting = self.pipeline.step(
+            event, self.policy, self.totals, index, wan, source="proxy"
+        )
         failed = wan.failed_loads
         return ProxyResponse(
             result=None if wan.outcome == OUTCOME_UNAVAILABLE else result,
@@ -343,72 +307,6 @@ class BypassYieldProxy:
             if self.policy.invalidate(object_id)
         ]
         return dropped
-
-    def enable_metrics(
-        self, registry: Optional["MetricsRegistry"] = None
-    ) -> "MetricsRegistry":
-        """Attach a :class:`repro.obs.metrics.MetricsProbe` to this proxy.
-
-        Creates an :class:`Instrumentation` sink if the proxy was built
-        without one (counters only — event retention stays opt-in), then
-        wires a probe that feeds ``registry`` from every decision,
-        including a cache-occupancy timeline read from the policy store.
-        Idempotent: calling again returns the existing registry.
-        """
-        from repro.obs.metrics import MetricsProbe, MetricsRegistry
-
-        if self._metrics_registry is not None:
-            return self._metrics_registry
-        instrumentation = self.pipeline.instrumentation
-        if instrumentation is None:
-            instrumentation = Instrumentation(max_events=0)
-            self.pipeline.instrumentation = instrumentation
-            self.mediator.instrumentation = instrumentation
-            if self.transport is not None:
-                self.transport.set_counter_hook(instrumentation.count)
-        self._metrics_registry = registry or MetricsRegistry()
-        instrumentation.add_probe(
-            MetricsProbe(
-                self._metrics_registry,
-                occupancy=lambda: self.policy.store.used_bytes,
-            )
-        )
-        return self._metrics_registry
-
-    def serve_metrics(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> "MetricsServer":
-        """Start the stdlib HTTP ``/metrics`` endpoint for this proxy.
-
-        Calls :meth:`enable_metrics` if needed, then binds a
-        :class:`repro.obs.httpd.MetricsServer` (daemon thread; ``port=0``
-        picks a free port).  Returns the running server — use its
-        ``url`` property, and ``close()`` when done.  Idempotent.
-        """
-        from repro.obs.httpd import MetricsServer
-
-        with self._metrics_lock:
-            if self._metrics_server is not None:
-                return self._metrics_server
-            registry = self.enable_metrics()
-            server = MetricsServer(registry, host=host, port=port)
-            server.start()
-            self._metrics_server = server
-        return server
-
-    def close_metrics(self) -> None:
-        """Stop the metrics endpoint if one is running.
-
-        Idempotent and thread-safe: concurrent or repeated calls (and a
-        call before :meth:`serve_metrics` ever ran) are no-ops.  The
-        server reference is claimed under a lock so exactly one caller
-        performs the actual shutdown.
-        """
-        with self._metrics_lock:
-            server = self._metrics_server
-            self._metrics_server = None
-        if server is not None:
-            server.close()
 
     def stats(self) -> Dict[str, object]:
         """Operational snapshot: traffic, hit rate, residency."""

@@ -11,14 +11,15 @@ The observability subsystem layered on the
   header;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, windowed gauges and log2 histograms, Prometheus text
-  exposition, and :class:`MetricsProbe` feeding it from decisions;
-* :mod:`repro.obs.httpd` — a stdlib-only HTTP ``/metrics`` endpoint;
+  exposition, and :class:`MetricsProbe`, which renders the sink's
+  counters at scrape time and feeds the per-query histograms;
+* :mod:`repro.obs.httpd` — the content types of the live HTTP surface
+  (``repro-serve``'s ``/metrics``, ``/healthz``, ``/slo``, ``/stats``);
 * :mod:`repro.obs.report` — the ``repro-report`` CLI: render one trace
   through the :mod:`repro.sim.reporting` dashboards, or diff two and
   gate CI on WAN-byte / hit-rate regressions.
 """
 
-from repro.obs.httpd import MetricsServer
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     RunManifest,
@@ -47,7 +48,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "MetricsProbe",
     "MetricsRegistry",
-    "MetricsServer",
     "RunManifest",
     "RotatedTraceReader",
     "TraceReader",

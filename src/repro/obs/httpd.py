@@ -1,33 +1,9 @@
-"""Stdlib-only HTTP exposition of a :class:`MetricsRegistry`.
+"""Content types of the live HTTP surface.
 
-A tiny threaded server with three routes:
-
-* ``/metrics`` — Prometheus text exposition of the registry;
-* ``/healthz`` — liveness probe (``ok``);
-* ``/slo`` — current :class:`~repro.obs.slo.SLOEngine` evaluation as
-  JSON (404 unless the server was built with an engine).
-
-No third-party dependencies: ``http.server`` from the standard library,
-one daemon thread, ephemeral port by default (``port=0``) so tests and
-collocated proxies never collide.  Attach to a live proxy with
-:meth:`repro.core.proxy.BypassYieldProxy.serve_metrics`.
-
-Every response declares an explicit charset and ``Connection: close``
-(each scrape is one short-lived exchange — keep-alive would pin handler
-threads on clients that forget to hang up), and unknown paths get 404.
+``repro-serve`` (:mod:`repro.service.server`) is the one live
+``/metrics``, ``/healthz``, ``/slo`` and ``/stats``; every response it
+sends declares one of these explicit-charset types.
 """
-
-from __future__ import annotations
-
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Optional, Type
-
-from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.obs.slo import SLOEngine
 
 #: Prometheus text exposition content type.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -35,140 +11,5 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Plain-text content type with explicit charset (``/healthz``).
 TEXT_CONTENT_TYPE = "text/plain; charset=utf-8"
 
-#: JSON content type with explicit charset (``/slo``).
+#: JSON content type with explicit charset (``/slo``, ``/stats``).
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
-
-
-def _make_handler(
-    registry: MetricsRegistry,
-    slo_engine: "Optional[SLOEngine]" = None,
-) -> Type[BaseHTTPRequestHandler]:
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def _respond(
-            self, status: int, content_type: str, body: bytes
-        ) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            route = self.path.split("?", 1)[0]
-            if route == "/metrics":
-                body = registry.render_prometheus().encode("utf-8")
-                self._respond(200, CONTENT_TYPE, body)
-            elif route == "/healthz":
-                self._respond(200, TEXT_CONTENT_TYPE, b"ok\n")
-            elif route == "/slo" and slo_engine is not None:
-                report = slo_engine.evaluate()
-                body = (
-                    json.dumps(report.to_json(), sort_keys=True) + "\n"
-                ).encode("utf-8")
-                self._respond(200, JSON_CONTENT_TYPE, body)
-            else:
-                self.send_error(404, "unknown path (try /metrics)")
-
-        def log_message(self, format: str, *args: object) -> None:
-            """Silence per-request stderr logging."""
-
-    return MetricsHandler
-
-
-class MetricsServer:
-    """Serve one registry over HTTP until closed.
-
-    Args:
-        registry: The metrics to expose.
-        host: Bind address (loopback by default — expose deliberately).
-        port: TCP port; 0 picks a free ephemeral port (see ``.port``).
-        slo_engine: Optional :class:`~repro.obs.slo.SLOEngine`; when
-            given, ``/slo`` serves its current evaluation as JSON.
-
-    Usable as a context manager; the background thread is a daemon so a
-    forgotten server never blocks interpreter exit.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        slo_engine: "Optional[SLOEngine]" = None,
-    ) -> None:
-        self.registry = registry
-        self.slo_engine = slo_engine
-        self._server = ThreadingHTTPServer(
-            (host, port), _make_handler(registry, slo_engine)
-        )
-        self._server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def host(self) -> str:
-        return str(self._server.server_address[0])
-
-    @property
-    def port(self) -> int:
-        return int(self._server.server_address[1])
-
-    @property
-    def url(self) -> str:
-        """Base URL (no path) — append ``/metrics`` or ``/healthz``."""
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def metrics_url(self) -> str:
-        """The scrape endpoint."""
-        return f"{self.url}/metrics"
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run (terminal — cannot restart)."""
-        return self._closed
-
-    def start(self) -> "MetricsServer":
-        """Begin serving in a background daemon thread (idempotent).
-
-        Starting an already-closed server is a no-op returning ``self``
-        — the socket is gone, so there is nothing safe to resume; check
-        :attr:`closed` if liveness matters.
-        """
-        with self._lock:
-            if self._closed:
-                return self
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._server.serve_forever,
-                    name="repro-metrics",
-                    daemon=True,
-                )
-                self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the socket.
-
-        Idempotent and thread-safe: the first caller through the lock
-        performs the shutdown, every later (or concurrent) call — and a
-        close before :meth:`start` ever ran — is a no-op.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            thread = self._thread
-            self._thread = None
-        if thread is not None:
-            self._server.shutdown()
-            thread.join(timeout=5.0)
-        self._server.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

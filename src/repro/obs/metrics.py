@@ -4,7 +4,8 @@ The registry is the live-serving complement of the decision trace: where
 :mod:`repro.obs.trace_io` persists every event for offline accounting,
 the registry folds events into fixed-size aggregates that a scraper can
 poll — Prometheus text exposition via :meth:`MetricsRegistry.render_prometheus`,
-optionally over HTTP via :mod:`repro.obs.httpd`.
+served live by ``repro-serve``'s ``/metrics``.  Counters are not
+copied in: the page reads the sink's one counter store when it renders.
 
 Everything here is deterministic given the observation sequence: windows
 are sized in *observations* (the paper's notion of time is the query
@@ -22,7 +23,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Tuple,
     Type,
@@ -84,14 +84,6 @@ class Metric:
         """(exposed name, value) samples for text exposition."""
         raise NotImplementedError
 
-    def snapshot_value(self) -> object:
-        """JSON-safe state for :meth:`MetricsRegistry.snapshot`."""
-        raise NotImplementedError
-
-    def merge_value(self, value: object) -> None:
-        """Fold a :meth:`snapshot_value` payload into this metric."""
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """Monotonically increasing count."""
@@ -112,15 +104,9 @@ class Counter(Metric):
     def expose(self) -> List[Tuple[str, float]]:
         return [(self.name, self.value)]
 
-    def snapshot_value(self) -> object:
-        return self.value
-
-    def merge_value(self, value: object) -> None:
-        self.value += float(value)  # type: ignore[arg-type]
-
 
 class Gauge(Metric):
-    """A value that goes up and down; merge keeps the maximum."""
+    """A value that goes up and down."""
 
     kind = "gauge"
 
@@ -133,13 +119,6 @@ class Gauge(Metric):
 
     def expose(self) -> List[Tuple[str, float]]:
         return [(self.name, self.value)]
-
-    def snapshot_value(self) -> object:
-        return self.value
-
-    def merge_value(self, value: object) -> None:
-        # Order-independent (deterministic across merge orders): peak.
-        self.value = max(self.value, float(value))  # type: ignore[arg-type]
 
 
 class WindowedGauge(Metric):
@@ -184,14 +163,6 @@ class WindowedGauge(Metric):
             (f"{self.name}_window_mean", sum(window) / len(window)),
             (f"{self.name}_window_max", max(window)),
         ]
-
-    def snapshot_value(self) -> object:
-        return list(self.values)
-
-    def merge_value(self, value: object) -> None:
-        if isinstance(value, Iterable):
-            for item in value:
-                self.values.append(float(item))  # type: ignore[arg-type]
 
 
 class LogHistogram(Metric):
@@ -254,32 +225,10 @@ class LogHistogram(Metric):
             for exponent in sorted(self.buckets)
         ]
 
-    def snapshot_value(self) -> object:
-        return {
-            "buckets": {
-                str(exponent): count
-                for exponent, count in sorted(self.buckets.items())
-            },
-            "sum": self.total,
-            "count": self.count,
-        }
-
-    def merge_value(self, value: object) -> None:
-        if not isinstance(value, Mapping):
-            return
-        buckets = value.get("buckets", {})
-        if isinstance(buckets, Mapping):
-            for exponent, count in buckets.items():
-                key = int(exponent)  # type: ignore[call-overload]
-                self.buckets[key] = (
-                    self.buckets.get(key, 0) + int(count)  # type: ignore[call-overload]
-                )
-        self.total += float(value.get("sum", 0.0))  # type: ignore[arg-type]
-        self.count += int(value.get("count", 0))  # type: ignore[call-overload]
-
 
 class MetricsRegistry:
-    """Create-or-get metrics by name; render, snapshot, and merge them.
+    """Create-or-get metrics by name, and render them with whatever the
+    registered collectors read at scrape time.
 
     All accessors are get-or-create and type-checked: asking for an
     existing name with a different metric kind raises, so two layers
@@ -288,6 +237,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        self._collectors: List[Callable[[], Iterable[Metric]]] = []
 
     def _get_or_create(
         self, kind: Type[M], name: str, *args: object
@@ -321,11 +271,12 @@ class MetricsRegistry:
     def histogram(self, name: str, help_text: str = "") -> LogHistogram:
         return self._get_or_create(LogHistogram, name, help_text)
 
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
+    def add_collector(
+        self, collect: Callable[[], Iterable[Metric]]
+    ) -> None:
+        """Render ``collect()``'s metrics on every page, read when the
+        page renders."""
+        self._collectors.append(collect)
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4 (sorted, stable).
@@ -333,12 +284,17 @@ class MetricsRegistry:
         Registry keys may carry a label suffix (``name{tenant="a"}``) —
         that is how per-tenant series share one metric family.  HELP and
         TYPE are emitted once per *base* name, so a labeled family
-        renders as one header followed by its labeled samples.
+        renders as one header followed by its labeled samples.  The
+        collectors run synchronously here, so one page is one
+        consistent read of what they collect.
         """
+        metrics = dict(self._metrics)
+        for collect in self._collectors:
+            metrics.update((metric.name, metric) for metric in collect())
         lines: List[str] = []
         seen_headers = set()
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
+        for name in sorted(metrics):
+            metric = metrics[name]
             base_name, _, _ = name.partition("{")
             exposed = sanitize_metric_name(base_name)
             if exposed not in seen_headers:
@@ -354,48 +310,12 @@ class MetricsRegistry:
                 )
         return "\n".join(lines) + "\n"
 
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe state of every metric, for merge/persistence."""
-        return {
-            name: {
-                "kind": metric.kind,
-                "type": type(metric).__name__,
-                "help": metric.help_text,
-                "value": metric.snapshot_value(),
-            }
-            for name, metric in sorted(self._metrics.items())
-        }
-
-    def merge_snapshot(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a :meth:`snapshot` payload in (counters/histograms add,
-        plain gauges keep their peak, windows extend)."""
-        factories: Dict[str, Callable[[str, str], Metric]] = {
-            "Counter": Counter,
-            "Gauge": Gauge,
-            "WindowedGauge": WindowedGauge,
-            "LogHistogram": LogHistogram,
-        }
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            if not isinstance(entry, Mapping):
-                continue
-            type_name = str(entry.get("type", ""))
-            factory = factories.get(type_name)
-            if factory is None:
-                continue
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory(name, str(entry.get("help", "")))
-                self._metrics[name] = metric
-            metric.merge_value(entry.get("value"))
-
 
 #: The rename table: which sink counter feeds which Prometheus series.
 #: ``Instrumentation.record_decision`` is the one fold of a decision
-#: into named counters; the probe mirrors those counters onto the
-#: scrape page under the (series, help text) below, so the page's
-#: tenant and shard partitions sum to their aggregates because the
-#: sink's do.  ``*`` is the tenant, shard or outcome segment.  Sink
+#: into named counters; the probe renders those counters on the scrape
+#: page under the (series, help text) below, so the page's tenant and
+#: shard partitions sum to their aggregates because the sink's do.  ``*`` is the tenant, shard or outcome segment.  Sink
 #: counters not listed (``fleet.peer_*``, ``fleet.clients``,
 #: ``mediator.*``) stay off the page.
 COUNTER_FAMILIES: Dict[str, Tuple[str, str]] = {
@@ -456,22 +376,58 @@ COUNTER_FAMILIES: Dict[str, Tuple[str, str]] = {
     ),
 }
 
-#: Resilience namespaces forwarded under their own (sanitized) names.
+#: Sink counters the page shows even before they are first counted.
+_UNLABELLED_FAMILIES = tuple(
+    name for name in COUNTER_FAMILIES if "*" not in name
+)
+
+#: Resilience namespaces rendered under their own (sanitized) names.
 _FAULT_NAMESPACES = ("transport.", "breaker.", "faults.")
+
+#: :data:`COUNTER_FAMILIES` as (matcher, series, help text).
+_FAMILY_MATCHERS = [
+    (
+        re.compile(re.escape(pattern).replace(r"\*", "(.+)")),
+        series,
+        help_text,
+    )
+    for pattern, (series, help_text) in COUNTER_FAMILIES.items()
+]
+
+
+def _counter_family(name: str) -> Optional[Tuple[str, str]]:
+    """(series, help text) that sink counter ``name`` renders as, with
+    no prefix; None for counters that stay off the page."""
+    if name.startswith(_FAULT_NAMESPACES):
+        return (
+            f"{sanitize_metric_name(name)}_total",
+            f"Fault-layer counter {name}",
+        )
+    for matcher, series, help_text in _FAMILY_MATCHERS:
+        match = matcher.fullmatch(name)
+        if match is not None:
+            segment = "".join(match.groups())
+            return (
+                series.replace("*", segment),
+                help_text.replace("*", segment),
+            )
+    return None
 
 
 class MetricsProbe(Probe):
-    """Feed a :class:`MetricsRegistry` from the instrumentation seam.
+    """Put a sink's accounting on a :class:`MetricsRegistry` page.
 
     Attach to an :class:`~repro.core.instrumentation.Instrumentation`
-    and the paper's accounting quantities appear on the scrape page:
-    every sink counter :data:`COUNTER_FAMILIES` names is mirrored as it
-    is incremented (hit/bypass counts, WAN byte/cost totals, eviction
-    churn, the tenant and shard partitions), and every decision feeds
-    what is not a counter — the per-query WAN and yield distributions
-    (log2 histograms), the hit-rate gauge and, when an ``occupancy``
-    callable is supplied (the proxy passes its cache store), a
-    windowed cache-occupancy timeline.
+    with ``add_probe`` and the paper's accounting quantities appear on
+    the scrape page.  The counters are read from the sink's one store
+    when the page renders: every counter :data:`COUNTER_FAMILIES` or
+    the fault namespaces name (hit/bypass counts, WAN byte/cost
+    totals, eviction churn, the tenant and shard partitions) and the
+    hit rate computed from them.  Each decision feeds only what the
+    counters cannot hold — the per-query WAN and yield distributions
+    (log2 histograms) and, when an ``occupancy`` callable is supplied
+    (the service passes its cache store), a windowed cache-occupancy
+    timeline.
     """
 
     def __init__(
@@ -484,18 +440,6 @@ class MetricsProbe(Probe):
         self.registry = registry
         self.occupancy = occupancy
         self._prefix = p = prefix
-        #: sink counter name -> its registry counter (None: not exported).
-        self._mirrors: Dict[str, Optional[Counter]] = {}
-        # The unlabelled families exist from the start, so a scrape
-        # before the first decision shows zeros rather than gaps.
-        for name in COUNTER_FAMILIES:
-            if "*" not in name:
-                self._mirrors[name] = self._mirror_of(name)
-        self._decisions = registry.counter(f"{p}_decisions_total")
-        self._served = registry.counter(f"{p}_decisions_served_total")
-        self._hit_rate = registry.gauge(
-            f"{p}_hit_rate", "Served fraction of decided queries"
-        )
         self._wan_histogram = registry.histogram(
             f"{p}_query_wan_bytes", "Per-query WAN bytes (log2 buckets)"
         )
@@ -508,54 +452,33 @@ class MetricsProbe(Probe):
             "Cache bytes in use (windowed timeline)",
             window=window,
         )
+        registry.add_collector(self.collect)
 
-    def _mirror_of(self, name: str) -> Optional[Counter]:
-        """The registry counter that mirrors sink counter ``name``."""
-        if name.startswith(_FAULT_NAMESPACES):
-            return self.registry.counter(
-                f"{self._prefix}_{sanitize_metric_name(name)}_total",
-                f"Fault-layer counter {name}",
-            )
-        for pattern, (series, help_text) in COUNTER_FAMILIES.items():
-            match = re.fullmatch(
-                re.escape(pattern).replace(r"\*", "(.+)"), name
-            )
-            if match is not None:
-                segment = "".join(match.groups())
-                return self.registry.counter(
-                    f"{self._prefix}_{series.replace('*', segment)}",
-                    help_text.replace("*", segment),
-                )
-        return None
-
-    def on_counter(self, name: str, value: float) -> None:
-        """Mirror the sink counter under its Prometheus family."""
-        if value < 0 and name.startswith(_FAULT_NAMESPACES):
-            return
-        try:
-            counter = self._mirrors[name]
-        except KeyError:
-            counter = self._mirrors[name] = self._mirror_of(name)
-        if counter is not None:
-            counter.inc(value)
+    def collect(self) -> List[Metric]:
+        """The attached sink's counters as page series, read now."""
+        p = self._prefix
+        # The unlabelled families show zeros before the first decision
+        # rather than gaps.
+        values = dict.fromkeys(_UNLABELLED_FAMILIES, 0.0)
+        values.update(self.counters)
+        metrics: List[Metric] = []
+        for name, value in values.items():
+            family = _counter_family(name)
+            if family is not None:
+                counter = Counter(f"{p}_{family[0]}", family[1])
+                counter.value = float(value)
+                metrics.append(counter)
+        hit_rate = Gauge(
+            f"{p}_hit_rate", "Served fraction of decided queries"
+        )
+        if values["decisions"]:
+            hit_rate.set(values["decisions.served"] / values["decisions"])
+        metrics.append(hit_rate)
+        return metrics
 
     def on_decision(self, event: DecisionEvent) -> None:
         self._wan_histogram.observe(event.wan_bytes)
         if event.yield_bytes:
             self._yield_histogram.observe(event.yield_bytes)
-        decided = self._decisions.value
-        if decided:
-            self._hit_rate.set(self._served.value / decided)
         if self.occupancy is not None:
             self._occupancy_gauge.set(float(self.occupancy()))
-
-    def on_stage(self, name: str, seconds: float) -> None:
-        stage = sanitize_metric_name(name)
-        self.registry.counter(
-            f"{self._prefix}_stage_{stage}_seconds_total",
-            f"Cumulative seconds in stage {name}",
-        ).inc(seconds)
-        self.registry.counter(
-            f"{self._prefix}_stage_{stage}_calls_total",
-            f"Invocations of stage {name}",
-        ).inc()

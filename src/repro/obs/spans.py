@@ -24,8 +24,8 @@ make that true:
   sequence of traced operations, never on the wall clock.  One tick is
   rendered as one microsecond in the Chrome/Perfetto export.
 * **Wall-clock durations never reach the file.**  The tracer *also*
-  measures real elapsed seconds per span (for the latency histograms in
-  the metrics registry), but that measurement rides on the in-memory
+  measures real elapsed seconds per span when asked to
+  (``wall_clock=True``), but that measurement rides on the in-memory
   span only; :meth:`Span.to_json` deliberately omits it.
 
 The disabled path costs nothing: drivers hold ``tracer=None`` (or an
@@ -249,8 +249,9 @@ class SpanTracer:
         seed: Run seed keying the deterministic span ids.
         run_label: Free-form run identity folded into the trace id
             (workload/policy names, typically).
-        wall_clock: Measure real elapsed seconds per span for the
-            metrics sinks.  File output is unaffected either way.
+        wall_clock: Measure real elapsed seconds per span (on
+            ``Span.wall_seconds``, for in-memory sinks).  File output
+            is unaffected either way.
         keep_spans: Retain finished spans on ``tracer.spans`` (handy in
             tests and for one-shot exports; long replays should stream
             through a :class:`SpanWriter` sink instead).
@@ -761,56 +762,3 @@ def render_flamegraph(root: FlameNode) -> str:
 
     walk(root, 0)
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Metrics sink
-# ---------------------------------------------------------------------------
-
-
-class MetricsSpanSink(SpanSink):
-    """Fold spans into a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-    Per stage: a call counter, a logical-duration histogram, a bytes
-    histogram (bytes-moving spans only), and — when the tracer measures
-    wall time — a microseconds histogram.  Per tenant: span counts and
-    bytes, labeled the Prometheus way.
-    """
-
-    def __init__(self, registry, prefix: str = "repro") -> None:
-        from repro.obs.metrics import sanitize_metric_name
-
-        self.registry = registry
-        self._prefix = prefix
-        self._sanitize = sanitize_metric_name
-
-    def on_span(self, span: Span) -> None:
-        registry = self.registry
-        stage = self._sanitize(span.name)
-        p = f"{self._prefix}_span_{stage}"
-        registry.counter(
-            f"{p}_total", f"Spans finished in stage {span.name}"
-        ).inc()
-        registry.histogram(
-            f"{p}_ticks", f"Logical duration of stage {span.name}"
-        ).observe(span.duration)
-        if span.bytes_moved:
-            registry.histogram(
-                f"{p}_bytes", f"Bytes moved by stage {span.name}"
-            ).observe(span.bytes_moved)
-        if span.wall_seconds is not None:
-            registry.histogram(
-                f"{p}_micros",
-                f"Wall-clock microseconds in stage {span.name}",
-            ).observe(span.wall_seconds * 1e6)
-        tenant = span.tenant or "untagged"
-        registry.counter(
-            f'{self._prefix}_tenant_spans_total{{tenant="{tenant}"}}',
-            "Spans finished per tenant",
-        ).inc()
-        if span.bytes_moved:
-            registry.counter(
-                f'{self._prefix}_tenant_span_bytes_total'
-                f'{{tenant="{tenant}"}}',
-                "Bytes moved per tenant (span-attributed)",
-            ).inc(span.bytes_moved)

@@ -1,7 +1,7 @@
 """``repro.service``: the async multi-tenant mediator service.
 
 The paper's bypass-yield proxy finally serving *live* clients: an
-asyncio mediator server (stdlib-only, like :mod:`repro.obs.httpd`)
+asyncio mediator server (stdlib-only, the one live HTTP surface)
 accepts concurrent query streams from many named tenants over a
 JSON-lines-over-HTTP protocol and drives the shared
 :class:`~repro.core.pipeline.DecisionPipeline` /

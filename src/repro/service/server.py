@@ -1,7 +1,7 @@
 """The asyncio mediator server: many tenants, one shared cache.
 
-Stdlib-only (``asyncio`` streams, hand-rolled HTTP/1.1 — the same
-dependency posture as :mod:`repro.obs.httpd`), one event-loop thread.
+Stdlib-only (``asyncio`` streams, hand-rolled HTTP/1.1), one
+event-loop thread — the one live HTTP surface.
 Routes:
 
 * ``POST /query`` — a body of JSON request lines (see
@@ -9,7 +9,8 @@ Routes:
   line per request, in request order.
 * ``GET /healthz`` — liveness (``ok``).
 * ``GET /metrics`` — Prometheus text exposition of the service's
-  registry (per-tenant WAN attribution included).
+  registry (per-tenant WAN attribution included), its counters read
+  from the instrumentation's one store as the page renders.
 * ``GET /slo`` — current SLO evaluation as JSON (404 without an
   engine).
 * ``GET /stats`` — admission/shedding counters as JSON.
@@ -97,7 +98,6 @@ class MediatorService:
         tracer: Optional span tracer (span emission happens under the
             decision lock — the tracer itself stays single-threaded).
         slo_engine: Optional live SLO engine backing ``/slo``.
-        registry: Metrics registry; created when omitted.
         record_series: Record the cumulative WAN series in the result.
     """
 
@@ -111,15 +111,18 @@ class MediatorService:
         instrumentation: Optional[Instrumentation] = None,
         tracer: Optional["Tracer"] = None,
         slo_engine: Optional["SLOEngine"] = None,
-        registry: Optional[MetricsRegistry] = None,
         record_series: bool = True,
     ) -> None:
         self.config = config or ServiceConfig()
         if instrumentation is None:
             instrumentation = Instrumentation(max_events=0)
         self.instrumentation = instrumentation
-        self.registry = registry or MetricsRegistry()
-        instrumentation.add_probe(MetricsProbe(self.registry))
+        self.registry = MetricsRegistry()
+        instrumentation.add_probe(
+            MetricsProbe(
+                self.registry, occupancy=lambda: policy.store.used_bytes
+            )
+        )
         self.slo_engine = slo_engine
         if slo_engine is not None:
             instrumentation.add_probe(_SLOForwarder(slo_engine))

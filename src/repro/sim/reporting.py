@@ -7,9 +7,9 @@ tables and figures report; these helpers keep that presentation consistent.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.instrumentation import DecisionEvent, Instrumentation
+from repro.core.instrumentation import DecisionEvent
 from repro.sim.results import SimulationResult, SweepResult
 
 
@@ -173,45 +173,6 @@ def ascii_chart(
     )
     lines.append(f" legend: {legend}")
     return "\n".join(lines)
-
-
-def format_instrumentation(
-    instrumentation: Instrumentation, title: str = "instrumentation"
-) -> str:
-    """Counters and stage timers of one run as aligned tables."""
-    sections: List[str] = []
-    counter_rows = [
-        [name, value]
-        for name, value in sorted(instrumentation.counters.items())
-    ]
-    sections.append(
-        format_table(
-            ["counter", "value"], counter_rows, title=title
-        )
-    )
-    if instrumentation.stage_seconds:
-        stage_rows = [
-            [
-                name,
-                instrumentation.stage_calls.get(name, 0),
-                seconds * 1e3,
-                (
-                    seconds * 1e3
-                    / max(1, instrumentation.stage_calls.get(name, 0))
-                ),
-            ]
-            for name, seconds in sorted(
-                instrumentation.stage_seconds.items()
-            )
-        ]
-        sections.append(
-            format_table(
-                ["stage", "calls", "total (ms)", "mean (ms)"],
-                stage_rows,
-                title="stage timers",
-            )
-        )
-    return "\n\n".join(sections)
 
 
 def format_decision_trace(

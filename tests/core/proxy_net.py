@@ -3,8 +3,9 @@
 ``python -m tests.core.proxy_net`` prints the capture as JSON;
 ``parent_proxy_net.json`` is that output at the last commit whose proxy
 decided and settled queries in its own body instead of driving
-``DecisionPipeline.step``.  ``test_proxy_regression_net.py`` asserts the
-capture is unchanged.
+``DecisionPipeline.step``, re-recorded without the stage call counts
+when the proxy's stage timers were deleted.
+``test_proxy_regression_net.py`` asserts the capture is unchanged.
 
 Cases: a 150-query ``edr`` trace over the TINY SDSS catalog at a third
 of the database, table and column objects, with a sibling supplying
@@ -13,7 +14,7 @@ plus the two-server SDSS + ``First`` federation (decomposed bypasses),
 fault-free and faulted.  Per case: the decision-event JSONL (digest and
 line count), every :class:`~repro.federation.network.TrafficLedger`
 total and per-server map, ``stats()`` (transport included), the sink's
-counters and stage call counts, and each response's ``wan_bytes``,
+counters, and each response's ``wan_bytes``,
 ``outcome``, ``retries``, ``failed_loads`` and result digest.
 ``served_from_cache`` and ``loads`` are not recorded: a response now
 reports what happened, not what the policy asked for.
@@ -144,18 +145,13 @@ def run_case(federation, queries, granularity, windows=None,
         json.dumps(event.to_json(), sort_keys=True) + "\n"
         for event in sink.events
     )
-    snapshot = sink.snapshot()
     return {
         "events": {"lines": len(sink.events), "sha256": digest(events)},
         "ledger": {
             name: value for name, value in sorted(vars(proxy.ledger).items())
         },
         "stats": proxy.stats(),
-        "counters": snapshot["counters"],
-        "stage_calls": {
-            name: stage["calls"]
-            for name, stage in snapshot["stages"].items()
-        },
+        "counters": dict(sink.counters),
         "responses": responses,
     }
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.instrumentation import Instrumentation
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.core.policies.baselines import NoCachePolicy
 from repro.core.proxy import BypassYieldProxy
 from repro.errors import CacheError
 from repro.federation import Federation
+from repro.obs.metrics import MetricsProbe, MetricsRegistry
 from repro.sim.runner import run_single
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import prepare_trace
@@ -200,92 +202,12 @@ class TestMultiServerProxy:
         assert response.wan_bytes == proxy.ledger.bypass_bytes
 
 
-class TestMetricsEndpoint:
-    def test_enable_metrics_feeds_registry(self, proxy):
-        registry = proxy.enable_metrics()
-        assert proxy.enable_metrics() is registry  # idempotent
-        proxy.query(HOT_QUERY)
-        proxy.query(HOT_QUERY)
-        proxy.query(HOT_QUERY)
-        assert registry.counter("repro_decisions_total").value == 3.0
-        served = registry.counter("repro_decisions_served_total").value
-        assert served >= 1.0
-        occupancy = registry.windowed_gauge("repro_cache_occupancy_bytes")
-        exposed = dict(occupancy.expose())
-        assert exposed["repro_cache_occupancy_bytes"] == (
-            proxy.policy.store.used_bytes
-        )
-
-    def test_enable_metrics_creates_sink_when_absent(self, proxy):
-        assert proxy.instrumentation is None
-        proxy.enable_metrics()
-        assert proxy.instrumentation is not None
-        assert proxy.mediator.instrumentation is proxy.instrumentation
-
-    def test_serve_metrics_http_scrape(self, proxy):
-        from urllib.request import urlopen
-
-        server = proxy.serve_metrics()
-        try:
-            assert proxy.serve_metrics() is server  # idempotent
-            proxy.query(HOT_QUERY)
-            with urlopen(server.metrics_url, timeout=5) as response:
-                body = response.read().decode("utf-8")
-            assert "repro_decisions_total 1" in body
-        finally:
-            proxy.close_metrics()
-
-
-class TestShutdownIdempotence:
-    def test_close_before_serve_is_noop(self, proxy):
-        proxy.close_metrics()  # never served: nothing to do
-        proxy.close_metrics()
-
-    def test_double_close_is_noop(self, proxy):
-        server = proxy.serve_metrics()
-        proxy.close_metrics()
-        assert server.closed
-        proxy.close_metrics()  # second close finds no server
-
-    def test_serve_after_close_starts_fresh(self, proxy):
-        from urllib.request import urlopen
-
-        first = proxy.serve_metrics()
-        proxy.close_metrics()
-        second = proxy.serve_metrics()
-        try:
-            assert second is not first
-            with urlopen(f"{second.url}/healthz", timeout=5) as response:
-                assert response.read() == b"ok\n"
-        finally:
-            proxy.close_metrics()
-
-    def test_concurrent_close_is_safe(self, proxy):
-        import threading
-
-        proxy.serve_metrics()
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(5):
-                    proxy.close_metrics()
-            except Exception as exc:  # pragma: no cover - failure case
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-
-
 class TestResilientProxy:
     """The availability-aware online path behind a faulted transport."""
 
     @staticmethod
-    def _make_proxy(windows=(), seed=11, policy_cls=RateProfilePolicy):
+    def _make_proxy(windows=(), seed=11, policy_cls=RateProfilePolicy,
+                    instrumentation=None):
         from repro.faults import FaultEngine, FaultSchedule
         from repro.faults.transport import ResilientTransport
 
@@ -297,7 +219,8 @@ class TestResilientProxy:
             FaultEngine(FaultSchedule(seed=seed, windows=tuple(windows)))
         )
         return BypassYieldProxy(
-            federation, policy, granularity="table", transport=transport
+            federation, policy, granularity="table", transport=transport,
+            instrumentation=instrumentation,
         )
 
     def test_empty_schedule_is_identity(self, proxy):
@@ -426,18 +349,22 @@ class TestResilientProxy:
     def test_transport_counters_reach_metrics_registry(self):
         from repro.faults import FaultWindow
 
+        instrumentation = Instrumentation(max_events=0)
         resilient = self._make_proxy(
             windows=(
                 FaultWindow(kind="outage", server="sdss", start=0,
                             end=1000),
             ),
             policy_cls=NoCachePolicy,
+            instrumentation=instrumentation,
         )
-        registry = resilient.enable_metrics()
+        registry = MetricsRegistry()
+        instrumentation.add_probe(MetricsProbe(registry))
         for _ in range(8):
             resilient.query(HOT_QUERY)
         scraped = registry.render_prometheus()
-        assert "repro_transport_requests_total" in scraped
+        requests = instrumentation.counters["transport.requests"]
+        assert f"repro_transport_requests_total {requests:g}\n" in scraped
         assert "repro_outcome_unavailable_total 8" in scraped
 
 

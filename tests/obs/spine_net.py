@@ -4,15 +4,17 @@
 ``parent_spine_net.json`` is that output at the last commit that had
 four hand-written folds of a decided query (``SimulationResult.charge``,
 ``Instrumentation.record_decision``, ``MetricsProbe.on_decision`` and
-``RunMetrics``/``summarize_events``) and two JSONL implementations.
-``test_spine_regression_net.py`` asserts the capture is unchanged.
+``RunMetrics``/``summarize_events``) and two JSONL implementations,
+re-recorded when stage timers and span-fed metrics were deleted (the
+only differences were those series going, and the service page's
+cache occupancy, which had read 0).  ``test_spine_regression_net.py``
+asserts the capture is unchanged.
 
 Per run: the ``/metrics`` page, the sink snapshot, the decision trace
 (written live, appended onto an existing file, and rotated), the span
-file (written live and appended) and the ``repro-report`` text.  Wall
-clock is scrubbed (stage seconds); files are recorded as line count,
-SHA-256 (the live files also their first two lines), everything
-else verbatim.
+file (written live and appended) and the ``repro-report`` text.  Files
+are recorded as line count, SHA-256 (the live files also their first
+two lines), everything else verbatim.
 """
 
 import asyncio
@@ -34,7 +36,7 @@ from repro.fleet import split_trace
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsProbe, MetricsRegistry
 from repro.obs.report import main as report_main
-from repro.obs.spans import MetricsSpanSink, SpanTracer, SpanWriter
+from repro.obs.spans import SpanTracer, SpanWriter
 from repro.obs.trace_io import TraceWriter
 from repro.service import loadgen
 from repro.service.config import ServiceConfig
@@ -148,22 +150,6 @@ def file_record(*paths, head=0):
     return record
 
 
-def metrics_page(registry):
-    """The scrape page with wall-clock stage seconds blanked."""
-    lines = []
-    for line in registry.render_prometheus().splitlines():
-        name, _, _ = line.rpartition(" ")
-        if name.endswith("_seconds_total") and not line.startswith("#"):
-            line = f"{name} <wall>"
-        lines.append(line)
-    return lines
-
-
-def snapshot_text(sink):
-    snapshot = sink.snapshot()
-    for stage in snapshot["stages"].values():
-        stage.pop("seconds")
-    return json.dumps(snapshot, sort_keys=True)
 
 
 def report(*argv):
@@ -199,15 +185,13 @@ class Recorder:
                 SpanWriter(self.span_path, self.tracer)
             )
 
-    def observe(self, registry=None):
+    def observe(self, registry=None, occupancy=None):
         """Fold the run into ``registry`` — by default a fresh one fed
         by its own :class:`MetricsProbe`."""
         if registry is None:
             registry = MetricsRegistry()
-            self.sink.add_probe(MetricsProbe(registry))
+            self.sink.add_probe(MetricsProbe(registry, occupancy))
         self.registry = registry
-        if self.tracer is not None:
-            self.tracer.add_sink(MetricsSpanSink(registry))
 
     def finish(self):
         """Close the live files, rewrite them appended and rotated,
@@ -215,8 +199,8 @@ class Recorder:
         self.writer.close()
         events = list(self.sink.events)
         captured = {
-            "metrics": metrics_page(self.registry),
-            "snapshot": snapshot_text(self.sink),
+            "metrics": self.registry.render_prometheus().splitlines(),
+            "snapshot": json.dumps(self.sink.snapshot(), sort_keys=True),
             "trace": file_record(self.trace_path, head=2),
             "report": report(self.trace_path),
         }
@@ -324,13 +308,12 @@ def proxy_run(directory):
     recorder = Recorder(
         directory, "proxy", "rate-profile", "table", capacity, spans=False
     )
+    policy = RateProfilePolicy(capacity_bytes=capacity)
     proxy = BypassYieldProxy(
-        federation,
-        RateProfilePolicy(capacity_bytes=capacity),
-        granularity="table",
+        federation, policy, granularity="table",
         instrumentation=recorder.sink,
     )
-    recorder.observe(proxy.enable_metrics())
+    recorder.observe(occupancy=lambda: policy.store.used_bytes)
     for i in range(12):
         proxy.query(PROXY_QUERIES[i % 3 == 2])
     return recorder

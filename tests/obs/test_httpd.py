@@ -1,94 +1,89 @@
-"""Tests for the stdlib-only /metrics HTTP endpoint."""
+"""The live HTTP surface whose content types :mod:`repro.obs.httpd` names.
+
+``repro-serve`` is the one live ``/metrics``, ``/healthz`` and
+``/slo``; each test boots a real service on an ephemeral loopback port
+and scrapes it over HTTP.
+"""
 
 import json
-import threading
-
+import urllib.error
 from urllib.request import urlopen
 
-from repro.obs.httpd import (
-    CONTENT_TYPE,
-    JSON_CONTENT_TYPE,
-    TEXT_CONTENT_TYPE,
-    MetricsServer,
-)
-from repro.obs.metrics import MetricsRegistry
+import pytest
+
+from repro.core.instrumentation import DecisionEvent
+from repro.federation import Mediator
+from repro.obs.httpd import CONTENT_TYPE, JSON_CONTENT_TYPE
+from repro.obs.slo import Objective, SLOEngine, SLOSpec
+from repro.service import loadgen
+from repro.workload.generator import TraceConfig, generate_trace
+from repro.workload.prepare import prepare_trace
+from repro.workload.sdss_schema import TINY
+from repro.workload.stream import MaterializedStream
+from tests.service.conftest import make_federation
+from tests.service.live import ServerThread
 
 
-def test_serves_metrics_and_healthz():
-    registry = MetricsRegistry()
-    registry.counter("repro_demo_total", "Demo").inc(3)
-    with MetricsServer(registry) as server:
-        with urlopen(f"{server.url}/metrics", timeout=5) as response:
+@pytest.fixture(scope="module")
+def prepared_trace():
+    trace = generate_trace(
+        TraceConfig(num_queries=40, flavor="edr", seed=11), TINY
+    )
+    return prepare_trace(trace, Mediator(make_federation()))
+
+
+@pytest.fixture(scope="module")
+def capacity():
+    return make_federation().total_database_bytes() // 3
+
+
+def _status_of(url):
+    try:
+        urlopen(url, timeout=10)
+    except urllib.error.HTTPError as exc:
+        return exc.code
+    raise AssertionError(f"expected an HTTP error from {url}")
+
+
+def test_serves_metrics_and_healthz(capacity):
+    with ServerThread(capacity) as server:
+        with urlopen(f"{server.url}/metrics", timeout=10) as response:
             body = response.read().decode("utf-8")
             assert response.headers["Content-Type"] == CONTENT_TYPE
-        assert "repro_demo_total 3" in body
+        assert "repro_decisions_total 0\n" in body
 
-        with urlopen(f"{server.url}/healthz", timeout=5) as response:
+        with urlopen(f"{server.url}/healthz", timeout=10) as response:
             assert response.read() == b"ok\n"
 
 
-def test_explicit_charset_and_connection_close():
-    with MetricsServer(MetricsRegistry()) as server:
-        with urlopen(f"{server.url}/metrics", timeout=5) as response:
-            assert "charset=utf-8" in response.headers["Content-Type"]
-            assert response.headers["Connection"] == "close"
-        with urlopen(f"{server.url}/healthz", timeout=5) as response:
-            assert response.headers["Content-Type"] == TEXT_CONTENT_TYPE
-            assert "charset=utf-8" in response.headers["Content-Type"]
-            assert response.headers["Connection"] == "close"
+def test_unknown_path_is_404(capacity):
+    with ServerThread(capacity) as server:
+        assert _status_of(f"{server.url}/nope") == 404
 
 
-def test_unknown_path_is_404():
-    with MetricsServer(MetricsRegistry()) as server:
-        import urllib.error
+def test_live_updates_between_scrapes(prepared_trace, capacity):
+    with ServerThread(capacity) as server:
+        before = loadgen.parse_metrics(
+            loadgen.http_get(server.url, "/metrics")
+        )
+        assert before["repro_decisions_total"] == 0
 
-        try:
-            urlopen(f"{server.url}/nope", timeout=5)
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-        else:  # pragma: no cover - the request must fail
-            raise AssertionError("expected 404")
-
-
-def test_live_updates_between_scrapes():
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_live_total")
-    with MetricsServer(registry) as server:
-        with urlopen(f"{server.url}/metrics", timeout=5) as response:
-            assert "repro_live_total 0" in response.read().decode()
-        counter.inc(5)
-        with urlopen(f"{server.url}/metrics", timeout=5) as response:
-            assert "repro_live_total 5" in response.read().decode()
-
-
-def test_close_is_idempotent():
-    server = MetricsServer(MetricsRegistry())
-    server.start()
-    server.start()  # second start is a no-op
-    server.close()
-    server.close()
+        # Two drives, scraped in between: each page is read from the
+        # counters as they stand.
+        for drive in (1, 2):
+            report = loadgen.drive_http(
+                server.url, MaterializedStream(prepared_trace), serial=True
+            )
+            assert len(report.responses) == len(prepared_trace)
+            assert not report.errors
+            metrics = loadgen.http_get(server.url, "/metrics")
+            assert loadgen.check_conservation(metrics) == []
+            assert loadgen.parse_metrics(metrics)[
+                "repro_decisions_total"
+            ] == drive * len(prepared_trace)
 
 
-def test_start_after_close_is_noop():
-    server = MetricsServer(MetricsRegistry())
-    server.start()
-    server.close()
-    assert server.closed
-    assert server.start() is server  # does not resurrect the socket
-    assert server.closed
-    server.close()  # still a no-op
-
-
-def test_close_before_start_is_noop():
-    server = MetricsServer(MetricsRegistry())
-    server.close()
-    assert server.closed
-
-
-def test_slo_endpoint_serves_engine_state():
-    from repro.core.instrumentation import DecisionEvent
-    from repro.obs.slo import Objective, SLOEngine, SLOSpec
-
+def test_slo_endpoint_serves_engine_state(capacity):
     spec = SLOSpec(
         name="live",
         objectives=(
@@ -112,108 +107,15 @@ def test_slo_endpoint_serves_engine_state():
                 outcome="bypassed",
             )
         )
-    registry = MetricsRegistry()
-    with MetricsServer(registry, slo_engine=engine) as server:
-        with urlopen(f"{server.url}/slo", timeout=5) as response:
+    with ServerThread(capacity, slo_engine=engine) as server:
+        with urlopen(f"{server.url}/slo", timeout=10) as response:
             assert response.headers["Content-Type"] == JSON_CONTENT_TYPE
-            assert response.headers["Connection"] == "close"
             payload = json.loads(response.read().decode("utf-8"))
     assert payload["slo"] == "live"
     assert payload["ok"] is True
     assert payload["objectives"][0]["total"] == 10
 
 
-def test_slo_endpoint_404_without_engine():
-    import urllib.error
-
-    with MetricsServer(MetricsRegistry()) as server:
-        try:
-            urlopen(f"{server.url}/slo", timeout=5)
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-        else:  # pragma: no cover - the request must fail
-            raise AssertionError("expected 404")
-
-
-def test_concurrent_scrapes_during_simulation():
-    """Two scraper threads hammer the endpoints while a run emits."""
-    from repro.core.instrumentation import Instrumentation
-    from repro.federation import Federation, Mediator
-    from repro.obs.metrics import MetricsProbe
-    from repro.sim.runner import run_single
-    from repro.workload.generator import TraceConfig, generate_trace
-    from repro.workload.prepare import prepare_trace
-    from repro.workload.sdss_schema import TINY, build_sdss_catalog
-
-    registry = MetricsRegistry()
-    instrumentation = Instrumentation(max_events=0)
-    instrumentation.add_probe(MetricsProbe(registry))
-
-    errors = []
-    stop = threading.Event()
-
-    def scrape(url: str) -> None:
-        try:
-            while not stop.is_set():
-                with urlopen(url, timeout=5) as response:
-                    body = response.read().decode("utf-8")
-                    assert body
-        except Exception as exc:  # pragma: no cover - the failure case
-            errors.append(exc)
-
-    with MetricsServer(registry) as server:
-        threads = [
-            threading.Thread(
-                target=scrape, args=(f"{server.url}/metrics",)
-            ),
-            threading.Thread(
-                target=scrape, args=(f"{server.url}/healthz",)
-            ),
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            federation = Federation.single_site(
-                build_sdss_catalog(TINY, seed=5), "sdss"
-            )
-            trace = generate_trace(
-                TraceConfig(num_queries=80, flavor="edr", seed=11), TINY
-            )
-            prepared = prepare_trace(trace, Mediator(federation))
-            run_single(
-                prepared,
-                federation,
-                "rate-profile",
-                federation.total_database_bytes() // 3,
-                "table",
-                instrumentation=instrumentation,
-            )
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10)
-    assert not errors
-    # The run's decisions reached the scraped registry.
-    body = registry.render_prometheus()
-    assert "repro_decisions_total" in body
-
-
-def test_concurrent_closes_are_safe():
-    server = MetricsServer(MetricsRegistry())
-    server.start()
-    errors = []
-
-    def hammer():
-        try:
-            for _ in range(10):
-                server.close()
-        except Exception as exc:  # pragma: no cover - the failure case
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert server.closed
+def test_slo_endpoint_404_without_engine(capacity):
+    with ServerThread(capacity) as server:
+        assert _status_of(f"{server.url}/slo") == 404

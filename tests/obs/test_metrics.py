@@ -6,7 +6,6 @@ from repro.core.instrumentation import DecisionEvent, Instrumentation
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     LogHistogram,
     Metric,
     MetricsProbe,
@@ -14,6 +13,7 @@ from repro.obs.metrics import (
     WindowedGauge,
     sanitize_metric_name,
 )
+from repro.service.loadgen import parse_metrics
 
 
 def event(
@@ -43,14 +43,6 @@ class TestPrimitives:
         assert counter.value == 3.5
         with pytest.raises(ConfigurationError):
             counter.inc(-1)
-
-    def test_gauge_merge_keeps_max(self):
-        gauge = Gauge("g")
-        gauge.set(5)
-        gauge.merge_value(3.0)
-        assert gauge.value == 5.0
-        gauge.merge_value(9.0)
-        assert gauge.value == 9.0
 
     def test_windowed_gauge_bounds_memory(self):
         gauge = WindowedGauge("w", window=3)
@@ -141,36 +133,25 @@ class TestRegistry:
         )
         assert float(line.split()[1]) == 0.123456789012345
 
-    def test_snapshot_merge_deterministic(self):
-        def build(seed_values):
-            registry = MetricsRegistry()
-            for value in seed_values:
-                registry.counter("c").inc(value)
-                registry.histogram("h").observe(value)
-            return registry
-
-        a, b = build([1, 2]), build([4])
-        merged = MetricsRegistry()
-        merged.merge_snapshot(a.snapshot())
-        merged.merge_snapshot(b.snapshot())
-        assert merged.counter("c").value == 7.0
-        assert merged.histogram("h").count == 3
-
-        # Merge order does not change counter/histogram totals.
-        other = MetricsRegistry()
-        other.merge_snapshot(b.snapshot())
-        other.merge_snapshot(a.snapshot())
-        assert other.counter("c").value == 7.0
-        assert other.histogram("h").snapshot_value() == (
-            merged.histogram("h").snapshot_value()
-        )
-
-    def test_merge_snapshot_ignores_unknown_types(self):
+    def test_collectors_are_read_at_render_time(self):
         registry = MetricsRegistry()
-        registry.merge_snapshot(
-            {"weird": {"type": "Mystery", "value": 1}, "junk": 3}
-        )
-        assert len(registry) == 0
+        registry.counter("repro_b_total").inc(1)
+        live = {"value": 1.0}
+
+        def collect():
+            counter = Counter("repro_a_total", "Collected")
+            counter.value = live["value"]
+            return [counter]
+
+        registry.add_collector(collect)
+        live["value"] = 4.0
+        assert registry.render_prometheus().splitlines() == [
+            "# HELP repro_a_total Collected",
+            "# TYPE repro_a_total counter",
+            "repro_a_total 4",
+            "# TYPE repro_b_total counter",
+            "repro_b_total 1",
+        ]
 
 
 class TestMetricsProbe:
@@ -186,30 +167,35 @@ class TestMetricsProbe:
         sink.record_decision(
             event(1, served=True, bypass=0, yield_bytes=300)
         )
-        assert registry.counter("repro_decisions_total").value == 2.0
-        assert (
-            registry.counter("repro_decisions_served_total").value == 1.0
-        )
-        assert (
-            registry.counter("repro_wan_bypass_bytes_total").value == 100.0
-        )
-        assert registry.gauge("repro_hit_rate").value == 0.5
-        assert registry.histogram("repro_query_yield_bytes").count == 2
-        occupancy_gauge = registry.windowed_gauge(
-            "repro_cache_occupancy_bytes"
-        )
-        assert dict(occupancy_gauge.expose())[
-            "repro_cache_occupancy_bytes"
-        ] == 512.0
+        page = parse_metrics(registry.render_prometheus())
+        assert page["repro_decisions_total"] == 2.0
+        assert page["repro_decisions_served_total"] == 1.0
+        assert page["repro_wan_bypass_bytes_total"] == 100.0
+        assert page["repro_hit_rate"] == 0.5
+        assert page["repro_query_yield_bytes_count"] == 2
+        assert page["repro_cache_occupancy_bytes"] == 512.0
 
-    def test_stage_timers_become_counters(self):
+    def test_page_reads_the_sink_counters_at_scrape_time(self):
         registry = MetricsRegistry()
-        sink = Instrumentation()
+        sink = Instrumentation(max_events=0)
+        sink.count("decisions", 3)  # before the probe is attached
         sink.add_probe(MetricsProbe(registry))
-        with sink.stage("proxy.decide"):
-            pass
-        calls = registry.counter("repro_stage_proxy_decide_calls_total")
-        assert calls.value == 1.0
+        empty = parse_metrics(registry.render_prometheus())
+        assert empty["repro_decisions_total"] == 3
+        assert empty["repro_decisions_served_total"] == 0
+        assert empty["repro_hit_rate"] == 0
+        sink.count("decisions.served", 2)
+        sink.count("transport.requests", 5)
+        sink.count("mediator.bypasses")  # not a page family
+        page = parse_metrics(registry.render_prometheus())
+        assert page["repro_decisions_served_total"] == 2
+        assert page["repro_hit_rate"] == 2 / 3
+        assert page["repro_transport_requests_total"] == 5
+        assert not any("mediator" in name for name in page)
+        sink.reset()
+        assert parse_metrics(registry.render_prometheus())[
+            "repro_decisions_total"
+        ] == 0
 
     def test_tenant_partition_sums_to_aggregates(self):
         registry = MetricsRegistry()
@@ -220,27 +206,25 @@ class TestMetricsProbe:
         sink.record_decision(event(2, served=True, bypass=0, tenant="alice"))
         sink.record_decision(event(3, bypass=40))  # untagged
 
+        body = registry.render_prometheus()
+        page = parse_metrics(body)
+
         def tenant_sum(family):
             return sum(
-                entry["value"]
-                for name, entry in registry.snapshot().items()
+                value
+                for name, value in page.items()
                 if name.startswith(f"repro_tenant_{family}_total{{")
             )
 
         wan_total = (
-            registry.counter("repro_wan_load_bytes_total").value
-            + registry.counter("repro_wan_bypass_bytes_total").value
+            page["repro_wan_load_bytes_total"]
+            + page["repro_wan_bypass_bytes_total"]
         )
         assert tenant_sum("wan_bytes") == wan_total == 390.0
+        assert tenant_sum("decisions") == page["repro_decisions_total"]
         assert (
-            tenant_sum("decisions")
-            == registry.counter("repro_decisions_total").value
+            tenant_sum("served") == page["repro_decisions_served_total"]
         )
-        assert (
-            tenant_sum("served")
-            == registry.counter("repro_decisions_served_total").value
-        )
-        body = registry.render_prometheus()
         assert 'repro_tenant_wan_bytes_total{tenant="alice"} 100' in body
         assert 'repro_tenant_wan_bytes_total{tenant="untagged"} 40' in body
 
@@ -288,19 +272,18 @@ class TestShardAttribution:
             self._event(2, shard="s0", served=True, bypass=0)
         )
 
+        body = registry.render_prometheus()
+        page = parse_metrics(body)
+
         def shard_sum(family):
             return sum(
-                entry["value"]
-                for name, entry in registry.snapshot().items()
+                value
+                for name, value in page.items()
                 if name.startswith(f"repro_shard_{family}_total{{")
             )
 
-        assert (
-            shard_sum("decisions")
-            == registry.counter("repro_decisions_total").value
-        )
+        assert shard_sum("decisions") == page["repro_decisions_total"]
         assert shard_sum("wan_bytes") == 350.0
-        body = registry.render_prometheus()
         assert 'repro_shard_wan_bytes_total{shard="s0"} 100' in body
         assert 'repro_shard_decisions_total{shard="s1"} 1' in body
 
@@ -321,7 +304,4 @@ class TestShardAttribution:
         sink = Instrumentation(max_events=0)
         sink.add_probe(MetricsProbe(registry))
         sink.record_decision(event(0))
-        assert not any(
-            name.startswith("repro_shard_")
-            for name in registry.snapshot()
-        )
+        assert "repro_shard_" not in registry.render_prometheus()

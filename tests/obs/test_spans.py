@@ -8,12 +8,10 @@ from repro.core.pipeline import DecisionPipeline
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.errors import ConfigurationError
 from repro.federation import Federation
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     STAGE_ACCOUNT,
     STAGE_DECIDE,
     STAGE_QUERY,
-    MetricsSpanSink,
     NullTracer,
     Span,
     SpanReader,
@@ -312,29 +310,6 @@ class TestFlamegraph:
         assert "query" in text
         assert "decide" in text
         assert "incl%" in text
-
-
-class TestMetricsSpanSink:
-    def test_stage_and_tenant_series(self):
-        registry = MetricsRegistry()
-        tracer = SpanTracer(seed=1, wall_clock=False)
-        tracer.add_sink(MetricsSpanSink(registry))
-        root = tracer.start("query", index=0, tenant="alice")
-        tracer.finish(tracer.start("transport.attempt"))
-        tracer.finish(root, bytes_moved=256)
-        body = registry.render_prometheus()
-        assert "repro_span_query_total 1" in body
-        assert "repro_span_transport_attempt_total 1" in body
-        assert 'repro_tenant_spans_total{tenant="alice"} 2' in body
-        assert 'repro_tenant_span_bytes_total{tenant="alice"} 256' in body
-
-    def test_untagged_bucket(self):
-        registry = MetricsRegistry()
-        tracer = SpanTracer(wall_clock=False)
-        tracer.add_sink(MetricsSpanSink(registry))
-        tracer.finish(tracer.start("decide"))
-        body = registry.render_prometheus()
-        assert 'repro_tenant_spans_total{tenant="untagged"} 1' in body
 
 
 class TestTracingEquivalence:

@@ -9,10 +9,15 @@ import json
 import pytest
 
 from repro.core.policies.rate_profile import RateProfilePolicy
+from repro.obs.spans import STAGE_QUERY, SpanTracer
 from repro.service import loadgen
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import DriveReport, check_complete
-from repro.service.protocol import QueryRequest, encode_request
+from repro.service.protocol import (
+    QueryRequest,
+    decode_response,
+    encode_request,
+)
 from repro.service.server import MediatorService
 from tests.service.conftest import make_federation
 
@@ -140,6 +145,91 @@ class TestCloseSettlesBacklog:
         assert service.stats()["inflight"] == 0
         metrics = service.registry.render_prometheus()
         assert loadgen.check_conservation(metrics) == []
+
+
+    def test_shutdown_over_http_answers_the_backlog(
+        self, prepared_trace, capacity
+    ):
+        """One 40-line POST, then ``POST /shutdown`` on a second
+        connection before the first is answered: the drain decides the
+        whole backlog and every line comes back."""
+        queries = prepared_trace.queries
+        body = "".join(
+            encode_request(queries[i], i, f"t{i % 3}") + "\n"
+            for i in range(40)
+        ).encode("utf-8")
+
+        async def exchange(reader, writer, head):
+            writer.write(head)
+            await writer.drain()
+            status = await reader.readline()
+            length = 0
+            while (line := await reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.lower() == "content-length":
+                    length = int(value)
+            return status, await reader.readexactly(length)
+
+        async def run():
+            tracer = SpanTracer(seed=7, wall_clock=False, keep_spans=True)
+            service = MediatorService(
+                make_federation(),
+                RateProfilePolicy(capacity_bytes=capacity),
+                config=ServiceConfig(max_inflight=1),
+                tracer=tracer,
+            )
+            await service.start()
+            serving = asyncio.ensure_future(service.serve_until_shutdown())
+            query = await asyncio.open_connection("127.0.0.1", service.port)
+            control = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            answer = asyncio.ensure_future(
+                exchange(
+                    *query,
+                    b"POST /query HTTP/1.1\r\nContent-Length: "
+                    + str(len(body)).encode() + b"\r\n\r\n" + body,
+                )
+            )
+            while service.stats()["decided"] == 0:
+                await asyncio.sleep(0)
+            shutdown = await exchange(
+                *control,
+                b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            )
+            decided_at_shutdown = service.stats()["decided"]
+            status, payload = await asyncio.wait_for(answer, timeout=10)
+            await asyncio.wait_for(serving, timeout=10)
+            for _, writer in (query, control):
+                writer.close()
+            return (
+                service, tracer, shutdown, decided_at_shutdown, status,
+                payload,
+            )
+
+        service, tracer, shutdown, decided_at_shutdown, status, payload = (
+            asyncio.run(run())
+        )
+        assert shutdown == (b"HTTP/1.1 200 OK\r\n", b"shutting down\n")
+        assert decided_at_shutdown < 40  # the POST was still queued
+        assert status == b"HTTP/1.1 200 OK\r\n"
+        responses = [
+            decode_response(line)
+            for line in payload.decode("utf-8").splitlines()
+        ]
+        assert [r.request_id for r in responses] == list(range(40))
+        assert all(r.status == "ok" for r in responses)
+        assert service.gate.decided == 40
+        metrics = service.registry.render_prometheus()
+        assert loadgen.check_conservation(metrics) == []
+        assert loadgen.parse_metrics(metrics)["repro_decisions_total"] == 40
+        roots = [
+            span.index
+            for span in tracer.spans
+            if span.name == STAGE_QUERY and not span.parent_id
+        ]
+        assert sorted(roots) == sorted(r.index for r in responses)
+        assert sorted(roots) == list(range(40))
 
 
 class TestCheckComplete:

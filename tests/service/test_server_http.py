@@ -8,14 +8,18 @@ service-smoke job exercises from two processes.
 
 import asyncio
 import json
-import queue
 import socket
-import threading
+from urllib.request import urlopen
 
 import pytest
 
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.errors import ConfigurationError
+from repro.obs.httpd import (
+    CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
+    TEXT_CONTENT_TYPE,
+)
 from repro.obs.slo import Objective, SLOEngine, SLOSpec
 from repro.service import loadgen
 from repro.service.config import ServiceConfig
@@ -28,6 +32,7 @@ from repro.service.protocol import (
 from repro.service.server import MediatorService
 from repro.workload.stream import MaterializedStream
 from tests.service.conftest import make_federation
+from tests.service.live import ServerThread
 
 
 class TestProtocol:
@@ -58,50 +63,27 @@ class TestProtocol:
             decode_response('{"id": 1}')
 
 
-class _ServerThread:
-    """A live service on an ephemeral port, in its own loop thread."""
-
-    def __init__(self, capacity, slo_engine=None, config=None):
-        self._capacity = capacity
-        self._slo_engine = slo_engine
-        self._config = config or ServiceConfig()
-        self._ports: "queue.Queue[int]" = queue.Queue()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self.url = ""
-
-    def _run(self):
-        async def main():
-            service = MediatorService(
-                make_federation(),
-                RateProfilePolicy(capacity_bytes=self._capacity),
-                config=self._config,
-                slo_engine=self._slo_engine,
-            )
-            await service.start()
-            self._ports.put(service.port)
-            await service.serve_until_shutdown()
-
-        asyncio.run(main())
-
-    def __enter__(self):
-        self._thread.start()
-        port = self._ports.get(timeout=10)
-        self.url = f"http://127.0.0.1:{port}"
-        loadgen.wait_ready(self.url)
-        return self
-
-    def __exit__(self, *exc_info):
-        try:
-            loadgen.http_post(self.url, "/shutdown", "")
-        except (ConfigurationError, OSError):
-            pass
-        self._thread.join(timeout=10)
-        assert not self._thread.is_alive()
+def _availability_engine():
+    return SLOEngine(
+        SLOSpec(
+            name="http-availability",
+            objectives=(
+                Objective(
+                    name="availability",
+                    kind="availability",
+                    target=0.98,
+                    long_window=200,
+                    short_window=50,
+                    burn_threshold=10.0,
+                ),
+            ),
+        )
+    )
 
 
 class TestLiveServer:
     def test_observability_routes(self, prepared_trace, capacity):
-        with _ServerThread(capacity) as server:
+        with ServerThread(capacity) as server:
             assert loadgen.http_get(server.url, "/healthz").strip() == (
                 "ok"
             )
@@ -128,10 +110,31 @@ class TestLiveServer:
             assert stats["decided"] == len(prepared_trace)
             assert stats["rejected"] == 0
 
+    @pytest.mark.parametrize(
+        "path, content_type",
+        [
+            ("/metrics", CONTENT_TYPE),
+            ("/healthz", TEXT_CONTENT_TYPE),
+            ("/slo", JSON_CONTENT_TYPE),
+            ("/stats", JSON_CONTENT_TYPE),
+        ],
+        ids=["metrics", "healthz", "slo", "stats"],
+    )
+    def test_routes_declare_an_explicit_charset(
+        self, capacity, path, content_type
+    ):
+        with ServerThread(
+            capacity, slo_engine=_availability_engine()
+        ) as server:
+            with urlopen(f"{server.url}{path}", timeout=10) as response:
+                assert response.status == 200
+                assert response.headers["Content-Type"] == content_type
+                assert "charset=utf-8" in content_type
+
     def test_query_route_reports_protocol_errors_in_band(
         self, prepared_trace, capacity
     ):
-        with _ServerThread(capacity) as server:
+        with ServerThread(capacity) as server:
             good = encode_request(
                 prepared_trace.queries[0], request_id=0, tenant="t-0"
             )
@@ -161,7 +164,7 @@ class TestLiveServer:
     def test_malformed_post_gets_400_and_service_keeps_serving(
         self, prepared_trace, capacity, request_bytes
     ):
-        with _ServerThread(capacity) as server:
+        with ServerThread(capacity) as server:
             host, port = server.url[len("http://"):].split(":")
             with socket.create_connection((host, int(port)), 10) as sock:
                 sock.sendall(request_bytes)
@@ -188,7 +191,7 @@ class TestLiveServer:
         self, prepared_trace, capacity
     ):
         config = ServiceConfig(queue_depth=8, max_inflight=4)
-        with _ServerThread(capacity, config=config) as server:
+        with ServerThread(capacity, config=config) as server:
             stream = loadgen.fan_out(
                 MaterializedStream(prepared_trace), tenants=4, seed=7
             )
@@ -213,7 +216,7 @@ class TestLiveServer:
             encode_request(queries[position], position, tenant) + "\n"
             for position, tenant in enumerate(tenants)
         )
-        with _ServerThread(capacity) as server:
+        with ServerThread(capacity) as server:
             payload = loadgen.http_post(server.url, "/query", body)
         responses = [decode_response(line) for line in payload.splitlines()]
         assert [r.request_id for r in responses] == list(range(32))
@@ -223,22 +226,9 @@ class TestLiveServer:
         assert len(late) == 2 and max(late) <= 3
 
     def test_slo_route_with_engine(self, prepared_trace, capacity):
-        spec = SLOSpec(
-            name="http-availability",
-            objectives=(
-                Objective(
-                    name="availability",
-                    kind="availability",
-                    target=0.98,
-                    long_window=200,
-                    short_window=50,
-                    burn_threshold=10.0,
-                ),
-            ),
-        )
-        with _ServerThread(capacity, slo_engine=SLOEngine(spec)) as (
-            server
-        ):
+        with ServerThread(
+            capacity, slo_engine=_availability_engine()
+        ) as server:
             loadgen.drive_http(
                 server.url,
                 MaterializedStream(prepared_trace),
@@ -248,3 +238,32 @@ class TestLiveServer:
             assert slo["slo"] == "http-availability"
             assert slo["ok"] is True
             assert slo["objectives"][0]["total"] == len(prepared_trace)
+
+
+class TestMetricsPage:
+    def test_occupancy_gauge_tracks_the_store(
+        self, prepared_trace, capacity
+    ):
+        async def run():
+            service = MediatorService(
+                make_federation(),
+                RateProfilePolicy(capacity_bytes=capacity),
+                config=ServiceConfig(max_inflight=4),
+            )
+            try:
+                await loadgen.drive_service(
+                    service,
+                    loadgen.fan_out(
+                        MaterializedStream(prepared_trace), 3, seed=3
+                    ),
+                )
+            finally:
+                await service.close()
+            return service
+
+        service = asyncio.run(run())
+        page = loadgen.parse_metrics(service.registry.render_prometheus())
+        used = service.gate.policy.store.used_bytes
+        assert used > 0
+        assert page["repro_cache_occupancy_bytes"] == used
+        assert page["repro_cache_occupancy_bytes_window_max"] >= used

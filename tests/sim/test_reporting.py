@@ -1,15 +1,12 @@
 """Unit tests for plain-text report rendering."""
 
-import pytest
-
-from repro.core.instrumentation import DecisionEvent, Instrumentation
+from repro.core.instrumentation import DecisionEvent
 from repro.sim.reporting import (
     ascii_chart,
     breakdown_rows,
     cost_series_chart,
     format_breakdown,
     format_decision_trace,
-    format_instrumentation,
     format_table,
     sweep_chart,
 )
@@ -203,16 +200,3 @@ class TestEdgeCases:
             [event(i) for i in range(3)], limit=0
         )
         assert text.count("sim") == 3
-
-    def test_format_instrumentation_empty_sink(self):
-        sink = Instrumentation(max_events=0)
-        text = format_instrumentation(sink)
-        assert "counter" in text
-        assert "stage timers" not in text
-
-    def test_format_instrumentation_max_events_zero_still_counts(self):
-        sink = Instrumentation(max_events=0)
-        sink.record_decision(event(0))
-        assert len(sink.events) == 0
-        text = format_instrumentation(sink)
-        assert "decisions" in text
