@@ -22,9 +22,7 @@ POLICIES = (
     "online-by",
     "space-eff-by",
     "gds",
-    "gdsp",
     "lru",
-    "lru-k",
     "semantic",
     "static",
     "no-cache",

@@ -187,7 +187,7 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
                 "peer_hits",
             }
         ),
-        mutators=frozenset({"charge", "charge_event"}),
+        mutators=frozenset({"charge"}),
         description="per-run simulation counters",
     ),
     EffectContract(

@@ -6,8 +6,8 @@
 * :mod:`repro.core.object_cache` — bypass-object caching ``A_obj``
   (rent-to-buy admission + Landlord eviction).
 * :mod:`repro.core.policies` — Rate-Profile (Section 4), OnlineBY and
-  SpaceEffBY (Section 5), and every baseline (GDS, GDSP, LRU, LFU,
-  LRU-K, static, semantic, no-cache).
+  SpaceEffBY (Section 5), and the baselines (GDS, LRU, static,
+  semantic, no-cache).
 * :mod:`repro.core.pipeline` — the decision pipeline shared by the
   offline simulator and the online proxy (query construction, cost
   views, WAN accounting).
@@ -46,11 +46,7 @@ from repro.core.proxy import BypassYieldProxy, ProxyResponse
 from repro.core.policies import (
     POLICY_REGISTRY,
     CachePolicy,
-    GDSPopularityPolicy,
     GreedyDualSizePolicy,
-    LFFPolicy,
-    LFUPolicy,
-    LRUKPolicy,
     LRUPolicy,
     NoCachePolicy,
     OnlineBYPolicy,
@@ -94,11 +90,7 @@ __all__ = [
     "Decision",
     "DecisionEvent",
     "DecisionPipeline",
-    "GDSPopularityPolicy",
     "GreedyDualSizePolicy",
-    "LFFPolicy",
-    "LFUPolicy",
-    "LRUKPolicy",
     "LRUPolicy",
     "Instrumentation",
     "NoCachePolicy",

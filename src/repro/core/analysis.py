@@ -2,18 +2,19 @@
 
 Theorem 5.1 bounds OnlineBY at ``(4α + 2)``-competitive against the
 offline optimum.  The true capacity-constrained optimum is NP-hard to
-compute, but relaxing the capacity constraint decomposes the problem per
-object, where the offline optimum has a closed form — and the sum of
-per-object optima is a valid *lower bound* on OPT (relaxation only
-helps).  Dividing a policy's measured cost by that bound yields an
-empirical upper estimate of its competitive ratio.
+compute (:func:`exact_opt` solves small instances), but relaxing the
+capacity constraint decomposes the problem per object, where the offline
+optimum has a closed form — and the sum of per-object optima is a valid
+*lower bound* on OPT (relaxation only helps).  Dividing a policy's
+measured cost by that bound yields an empirical estimate of its ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.core.events import Decision
 from repro.errors import CacheError
 
 if TYPE_CHECKING:
@@ -103,6 +104,64 @@ def opt_lower_bound(
         opt_lower_bound=sum(bounds.values()),
         per_object_bounds=bounds,
     )
+
+
+def exact_opt(
+    queries: Sequence[Mapping[str, float]],
+    sizes: Mapping[str, int],
+    fetch_costs: Mapping[str, float],
+    capacity: int,
+) -> Tuple[float, List[Decision]]:
+    """The exact offline optimum *with the same cache* (≤ 16 objects).
+
+    Each query maps its objects to their yield shares: a bypass pays
+    their sum (as in :func:`opt_lower_bound`), a serve pays the
+    ``fetch_costs`` of what it loads.  A dynamic program over the set of
+    cached objects; loading only to serve loses nothing, and a superset
+    dominates its subsets (evicting is free).  Returns the cost and the
+    schedule, one :class:`Decision` per query.
+    """
+    ids = sorted({object_id for query in queries for object_id in query})
+    if len(ids) > 16:
+        raise CacheError(f"exact_opt solves at most 16 objects, got {len(ids)}")
+
+    def members(mask: int) -> List[str]:
+        return [oid for bit, oid in enumerate(ids) if mask >> bit & 1]
+
+    def size(mask: int) -> int:
+        return sum(sizes[object_id] for object_id in members(mask))
+
+    frontier: Dict[int, float] = {0: 0.0}
+    steps: List[Dict[int, Tuple[float, int, bool]]] = []
+    for query in queries:
+        need = sum(1 << ids.index(object_id) for object_id in query)
+        room = capacity - size(need)
+        step: Dict[int, Tuple[float, int, bool]] = {}  # (cost, came from, served)
+        for state, cost in frontier.items():
+            moves = [(state, cost + sum(query.values()), False)]
+            load = sum(fetch_costs[oid] for oid in members(need & ~state))
+            rest = keep = state & ~need
+            while room >= 0:  # serve, keeping each subset that fits
+                if size(keep) <= room:
+                    moves.append((need | keep, cost + load, True))
+                if keep == 0:
+                    break
+                keep = (keep - 1) & rest
+            for target, total, served in moves:
+                if total < step.get(target, (float("inf"),))[0]:
+                    step[target] = (total, state, served)
+        frontier = {
+            state: cost for state, (cost, _, _) in step.items()
+            if not any(o != state and o & state == state and step[o][0] <= cost for o in step)
+        }
+        steps.append(step)
+    best, state = min((cost, state) for state, cost in frontier.items())
+    schedule: List[Decision] = []
+    for step in reversed(steps):
+        _, prev, served = step[state]
+        schedule.insert(0, Decision(served, members(state & ~prev), members(prev & ~state)))
+        state = prev
+    return best, schedule
 
 
 def measure_competitive_ratio(

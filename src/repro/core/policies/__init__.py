@@ -9,11 +9,7 @@ from typing import Any, Callable, Dict
 
 from repro.core.policies.base import CachePolicy
 from repro.core.policies.baselines import (
-    GDSPopularityPolicy,
     GreedyDualSizePolicy,
-    LFFPolicy,
-    LFUPolicy,
-    LRUKPolicy,
     LRUPolicy,
     NoCachePolicy,
     SemanticCachePolicy,
@@ -34,11 +30,7 @@ POLICY_REGISTRY: Dict[str, Callable[[int], CachePolicy]] = {
     "online-by": OnlineBYPolicy,
     "space-eff-by": SpaceEffBYPolicy,
     "gds": GreedyDualSizePolicy,
-    "gdsp": GDSPopularityPolicy,
     "lru": LRUPolicy,
-    "lfu": LFUPolicy,
-    "lff": LFFPolicy,
-    "lru-k": LRUKPolicy,
     "no-cache": NoCachePolicy,
     "semantic": SemanticCachePolicy,
 }
@@ -63,11 +55,7 @@ def make_policy(
 
 __all__ = [
     "CachePolicy",
-    "GDSPopularityPolicy",
     "GreedyDualSizePolicy",
-    "LFFPolicy",
-    "LFUPolicy",
-    "LRUKPolicy",
     "LRUPolicy",
     "NoCachePolicy",
     "OnlineBYPolicy",

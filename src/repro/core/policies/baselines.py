@@ -7,10 +7,8 @@
   ``H = L + cost/size`` with inflation.  This is the paper's "GDS
   (without bypass)" comparator and performs poorly on database workloads
   because it pays whole-object loads for small-yield queries.
-* :class:`GDSPopularityPolicy` — GDSP: GDS with a frequency factor,
-  ``H = L + freq * cost/size``.
-* :class:`LRUPolicy`, :class:`LFUPolicy`, :class:`LRUKPolicy` — the
-  classical page/object-model replacement families, in-line.
+* :class:`LRUPolicy` — least-recently-used over variable-size objects,
+  in-line.
 * :class:`StaticPolicy` — optimal-static caching: a fixed, offline-chosen
   object set; no loads, no evictions (the paper's sanity-check line).
 * :class:`SemanticCachePolicy` — caches whole query results keyed by
@@ -21,12 +19,12 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.events import CacheQuery, Decision, ObjectRequest
 from repro.core.policies.base import CachePolicy
 from repro.core.units import AnyRawBytes
-from repro.core.victimheap import ReverseOrder, VictimHeap
+from repro.core.victimheap import VictimHeap
 from repro.errors import CacheError
 
 
@@ -159,31 +157,6 @@ class GreedyDualSizePolicy(_InlineObjectPolicy):
         self._victims.discard(object_id)
 
 
-class GDSPopularityPolicy(GreedyDualSizePolicy):
-    """GDSP: GDS weighted by a frequency count across the whole
-    reference stream (not just resident objects), as in Jin & Bestavros.
-    """
-
-    name = "gdsp"
-
-    def __init__(self, capacity_bytes: AnyRawBytes) -> None:
-        super().__init__(capacity_bytes)
-        self._frequency: Dict[str, int] = {}
-
-    def decide(self, query: CacheQuery) -> Decision:
-        for request in query.objects:
-            self._frequency[request.object_id] = (
-                self._frequency.get(request.object_id, 0) + 1
-            )
-        return super().decide(query)
-
-    def _utility(self, request: ObjectRequest) -> float:
-        frequency = self._frequency.get(request.object_id, 1)
-        return self._inflation + (
-            frequency * request.fetch_cost / request.size
-        )
-
-
 class LRUPolicy(_InlineObjectPolicy):
     """Least-recently-used over variable-size objects, in-line.
 
@@ -207,116 +180,6 @@ class LRUPolicy(_InlineObjectPolicy):
 
     def _forget(self, object_id: str) -> None:
         self._victims.discard(object_id)
-
-
-class LFUPolicy(_InlineObjectPolicy):
-    """Least-frequently-used (cache-lifetime counts), in-line."""
-
-    name = "lfu"
-
-    def __init__(self, capacity_bytes: AnyRawBytes) -> None:
-        super().__init__(capacity_bytes)
-        self._counts: Dict[str, int] = {}
-
-    def _touch(self, request: ObjectRequest) -> None:
-        count = self._counts.get(request.object_id, 0) + 1
-        self._counts[request.object_id] = count
-        self._victims.set(request.object_id, (count, request.object_id))
-
-    def _admit(self, request: ObjectRequest) -> None:
-        self._counts[request.object_id] = 1
-        self._victims.set(request.object_id, (1, request.object_id))
-
-    def _forget(self, object_id: str) -> None:
-        self._counts.pop(object_id, None)
-        self._victims.discard(object_id)
-
-
-class LFFPolicy(_InlineObjectPolicy):
-    """Largest-file-first: evict the biggest resident object.
-
-    One of the simple proxy-database revocation policies the paper's
-    related-work section lists (LRU, LFU, LFF).  Biased toward keeping
-    many small objects resident regardless of their traffic.
-
-    Victim order: descending ``(size, object_id)`` — the
-    :class:`~repro.core.victimheap.ReverseOrder` tie-break reproduces
-    the ``max((size, object_id))`` scan exactly.
-    """
-
-    name = "lff"
-
-    def _touch(self, request: ObjectRequest) -> None:
-        pass
-
-    def _admit(self, request: ObjectRequest) -> None:
-        self._victims.set(
-            request.object_id,
-            (-request.size, ReverseOrder(request.object_id)),
-        )
-
-    def _forget(self, object_id: str) -> None:
-        self._victims.discard(object_id)
-
-
-class LRUKPolicy(_InlineObjectPolicy):
-    """LRU-K (O'Neil et al.): evict by K-th most recent reference time.
-
-    Objects with fewer than K references sort before all fully-referenced
-    objects (their K-distance is infinite), breaking ties by oldest last
-    reference.
-
-    Victim order: ascending ``(K-distance key, admission sequence)``.
-    The reference scan walked the store in insertion order keeping the
-    first strictly-smallest key, so equal keys resolve to the earliest
-    admitted object — which is exactly what the per-admission sequence
-    number encodes.
-    """
-
-    name = "lru-k"
-
-    def __init__(self, capacity_bytes: AnyRawBytes, k: int = 2) -> None:
-        super().__init__(capacity_bytes)
-        if k <= 0:
-            raise CacheError("k must be positive")
-        self.k = k
-        self._history: Dict[str, List[int]] = {}
-        self._clock = 0
-        self._admit_seq = 0
-        self._admit_order: Dict[str, int] = {}
-
-    def decide(self, query: CacheQuery) -> Decision:
-        self._clock += 1
-        return super().decide(query)
-
-    def _kdist(self, object_id: str) -> Tuple[int, int]:
-        history = self._history.get(object_id, [])
-        if len(history) < self.k:
-            return (0, history[-1] if history else 0)
-        return (1, history[0])
-
-    def _record(self, object_id: str) -> None:
-        history = self._history.setdefault(object_id, [])
-        history.append(self._clock)
-        if len(history) > self.k:
-            del history[0]
-        self._victims.set(
-            object_id, (self._kdist(object_id), self._admit_order[object_id])
-        )
-
-    def _touch(self, request: ObjectRequest) -> None:
-        self._record(request.object_id)
-
-    def _admit(self, request: ObjectRequest) -> None:
-        self._admit_seq += 1
-        self._admit_order[request.object_id] = self._admit_seq
-        self._record(request.object_id)
-
-    def _forget(self, object_id: str) -> None:
-        # Reference history survives eviction (that is LRU-K's point),
-        # but the object leaves the victim order until readmission.
-        self._victims.discard(object_id)
-        self._admit_order.pop(object_id, None)
 
 
 class StaticPolicy(CachePolicy):

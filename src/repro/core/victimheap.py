@@ -15,12 +15,12 @@ at the heap top.  Selection therefore never trusts an entry without
 re-validating it against live state, which is what keeps decisions
 byte-identical to the exact scans they replace: the pop order over live
 entries is exactly ascending key order, and each policy encodes its
-scan's tie-breaking rule into the key itself (object id, admission
-sequence number, :class:`ReverseOrder` for descending scans).
+scan's tie-breaking rule into the key itself (for example a trailing
+object id).
 
 The heap is policy-agnostic: keys are opaque orderable values.  Users:
 
-* LRU/LFU/LRU-K/LFF/GDS/GDSP victim choice in
+* LRU/GDS victim choice in
   :mod:`repro.core.policies.baselines`;
 * Landlord eviction order in :mod:`repro.core.object_cache` (with the
   global-offset trick making survivor aging O(1));
@@ -33,44 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Container, Dict, List, Optional, Tuple
 
-__all__ = ["ReverseOrder", "VictimHeap"]
-
-
-class ReverseOrder:
-    """Total-order inversion wrapper for heap keys.
-
-    Wrapping a key component flips its comparison, letting a min-heap
-    reproduce a ``max(...)`` scan *including its tie-break direction*
-    (e.g. largest-file-first breaks size ties toward the largest object
-    id; negating the size alone would flip that tie toward the
-    smallest).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "ReverseOrder") -> bool:
-        return other.value < self.value
-
-    def __le__(self, other: "ReverseOrder") -> bool:
-        return other.value <= self.value
-
-    def __gt__(self, other: "ReverseOrder") -> bool:
-        return other.value > self.value
-
-    def __ge__(self, other: "ReverseOrder") -> bool:
-        return other.value >= self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ReverseOrder) and other.value == self.value
-
-    def __hash__(self) -> int:
-        return hash((ReverseOrder, self.value))
-
-    def __repr__(self) -> str:
-        return f"ReverseOrder({self.value!r})"
+__all__ = ["VictimHeap"]
 
 
 #: Sentinel distinguishing "no key recorded" from any real key.

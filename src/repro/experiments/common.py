@@ -20,14 +20,12 @@ from repro.core.instrumentation import Instrumentation
 from repro.errors import ConfigurationError
 from repro.federation.federation import Federation
 from repro.federation.mediator import Mediator
-from repro.federation.server import DatabaseServer
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import prepare_trace
 from repro.workload.sdss_schema import (
     PROFILES,
     ScaleProfile,
-    build_first_catalog,
-    build_sdss_catalog,
+    build_federation,
 )
 from repro.workload.trace import PreparedTrace, Trace
 
@@ -167,14 +165,7 @@ def build_context(
         return memoized
 
     profile = PROFILES[profile_name]
-    catalog = build_sdss_catalog(profile)
-    federation = Federation.single_site(catalog)
-    # The FIRST radio survey runs on its own server (the classic SkyQuery
-    # cross-match partner); DR1's crossmatch theme joins against it, which
-    # exercises the mediator's cross-server decomposition.
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(profile))
-    )
+    federation = build_federation(profile)
     mediator = Mediator(federation)
     config = TraceConfig(
         num_queries=num_queries, flavor=flavor, seed=seed

@@ -66,10 +66,20 @@ def result_from_trace(
     result.series_stride = stride
     cumulative = 0.0
     for i, event in enumerate(events):
-        result.charge_event(event)
+        # The event is its own accounting and its own decision.
+        result.charge(
+            event,
+            event,
+            event.peer_hits,
+            event.outcome,
+            event.retries,
+            event.failed_loads,
+            event.yield_bytes,
+        )
         cumulative += event.wan_bytes
         if (i + 1) % stride == 0 or i == len(events) - 1:
             result.cumulative_bytes.append(cumulative)
+    result.queries = len(events)
     return result
 
 

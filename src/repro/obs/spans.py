@@ -30,9 +30,8 @@ make that true:
 
 The disabled path costs nothing: drivers hold ``tracer=None`` (or an
 :class:`NullTracer`, which pipelines normalize to ``None``) and pay one
-``is None`` test per traced site — the hotpath benchmark gates this at
-<= 2% overhead, and the golden-equivalence suite pins decisions and WAN
-totals byte-identical with tracing on or off.
+``is None`` test per traced site, and the golden-equivalence suite pins
+decisions and WAN totals byte-identical with tracing on or off.
 """
 
 # repro-lint: allow-file[RPR002] wall-clock reads here are observability
@@ -449,8 +448,7 @@ class NullTracer:
     Pipelines normalize a tracer whose ``enabled`` is False to ``None``
     at construction time, so with a NullTracer attached the replay loop
     executes the *identical* instruction stream as with no tracer at
-    all — the <= 2% disabled-overhead gate in the hotpath benchmark
-    holds by construction.
+    all.
     """
 
     enabled = False

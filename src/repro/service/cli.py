@@ -27,8 +27,6 @@ from typing import List, Optional
 
 from repro.core.instrumentation import Instrumentation
 from repro.errors import ConfigurationError, ReproError
-from repro.federation.federation import Federation
-from repro.federation.server import DatabaseServer
 from repro.service.config import (
     ServiceConfig,
     parse_max_inflight,
@@ -39,11 +37,7 @@ from repro.service.config import (
 from repro.service.server import MediatorService
 from repro.sim.runner import build_policy
 from repro.sim.simulate import KNOWN_POLICIES
-from repro.workload.sdss_schema import (
-    PROFILES,
-    build_first_catalog,
-    build_sdss_catalog,
-)
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.trace import PreparedTrace
 
 
@@ -149,10 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     profile = PROFILES[args.profile]
-    federation = Federation.single_site(build_sdss_catalog(profile), "sdss")
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(profile))
-    )
+    federation = build_federation(profile)
     capacity = max(
         1, int(federation.total_database_bytes() * args.capacity_frac)
     )

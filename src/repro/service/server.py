@@ -68,6 +68,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import Tracer
     from repro.sim.results import SimulationResult
 
+#: Largest request body accepted.  The biggest legitimate POST, a
+#: 64-line loadgen batch, is tens of kB; a larger declared
+#: ``Content-Length`` is refused before any of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Most header lines accepted in one request.
+MAX_HEADERS = 100
+
 #: One queued unit: the admitted request and the future its submitter
 #: awaits for the response.
 _QueueItem = Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]
@@ -335,7 +343,8 @@ class MediatorService:
                 except ValueError:
                     break
                 headers: Dict[str, str] = {}
-                while True:
+                too_many_headers = False
+                for _ in range(MAX_HEADERS + 1):
                     line = await reader.readline()
                     if line in (b"\r\n", b"\n", b""):
                         break
@@ -343,17 +352,33 @@ class MediatorService:
                         line.decode("latin-1").partition(":")
                     )
                     headers[key.strip().lower()] = value.strip()
+                else:
+                    too_many_headers = True
                 try:
                     length = int(headers.get("content-length") or 0)
                 except ValueError:
                     length = -1
-                if length < 0:
-                    # The body cannot be framed: answer, then hang up.
-                    status, ctype, payload = (
+                # A request the server will not read cannot be framed:
+                # answer, then hang up.
+                refusal: Optional[Tuple[str, bytes]] = None
+                if too_many_headers:
+                    refusal = (
+                        "431 Request Header Fields Too Large",
+                        f"more than {MAX_HEADERS} header lines\n".encode(),
+                    )
+                elif length < 0:
+                    refusal = (
                         "400 Bad Request",
-                        TEXT_CONTENT_TYPE,
                         b"Content-Length must be a non-negative integer\n",
                     )
+                elif length > MAX_BODY_BYTES:
+                    refusal = (
+                        "413 Content Too Large",
+                        f"body over {MAX_BODY_BYTES} bytes\n".encode(),
+                    )
+                if refusal is not None:
+                    ctype = TEXT_CONTENT_TYPE
+                    status, payload = refusal
                 else:
                     body = (
                         await reader.readexactly(length) if length else b""
@@ -365,11 +390,12 @@ class MediatorService:
                     f"HTTP/1.1 {status}\r\n"
                     f"Content-Type: {ctype}\r\n"
                     f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: keep-alive\r\n\r\n"
+                    f"Connection: {'keep-alive' if refusal is None else 'close'}"
+                    "\r\n\r\n"
                 )
                 writer.write(head.encode("latin-1") + payload)
                 await writer.drain()
-                if length < 0 or self._shutdown.is_set():
+                if refusal is not None or self._shutdown.is_set():
                     break
         except (
             asyncio.IncompleteReadError,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.core.instrumentation import served_hit
 
@@ -215,22 +215,6 @@ class SimulationResult:
             retries=resolved.retries,
             failed_loads=len(resolved.failed_loads),
         )
-
-    def charge_event(self, event: "DecisionEvent") -> None:
-        """:meth:`charge` one persisted :class:`DecisionEvent` — the
-        event is its own accounting and its own decision — and count
-        it (``repro-report`` rebuilding a result from a JSONL trace).
-        """
-        self.charge(
-            event,
-            event,
-            event.peer_hits,
-            event.outcome,
-            event.retries,
-            event.failed_loads,
-            event.yield_bytes,
-        )
-        self.queries += 1
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -34,19 +34,12 @@ from typing import List, Optional
 
 from repro.core.policies import POLICY_REGISTRY
 from repro.core.yield_model import YIELD_MODES, make_yield_source
-from repro.federation.federation import Federation
 from repro.federation.mediator import Mediator
-from repro.federation.server import DatabaseServer
 from repro.sim.runner import build_policy
 from repro.sim.simulator import Simulator
 from repro.workload.chunks import ChunkedTrace
 from repro.workload.generator import TraceConfig
-from repro.workload.sdss_schema import (
-    PROFILES,
-    ScaleProfile,
-    build_first_catalog,
-    build_sdss_catalog,
-)
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.stream import GeneratedStream, QueryStream
 
 #: Report format tag; bump on incompatible change.
@@ -112,17 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_mediator(profile: ScaleProfile) -> Mediator:
-    federation = Federation.single_site(build_sdss_catalog(profile), "sdss")
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(profile))
-    )
-    return Mediator(federation)
-
-
 def run_scale(args: argparse.Namespace) -> int:
     profile = PROFILES[args.profile]
-    mediator = _build_mediator(profile)
+    mediator = Mediator(build_federation(profile))
     federation = mediator.federation
 
     stream: QueryStream

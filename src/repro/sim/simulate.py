@@ -23,17 +23,10 @@ from repro.core.policies import POLICY_REGISTRY
 from repro.errors import ConfigurationError, FaultError
 from repro.experiments.common import parse_worker_count
 from repro.faults import FaultSchedule, parse_fault_seed
-from repro.federation.federation import Federation
-from repro.federation.mediator import Mediator
-from repro.federation.server import DatabaseServer
 from repro.sim.reporting import format_breakdown
 from repro.sim.results import SimulationResult
 from repro.sim.runner import compare_policies, run_single
-from repro.workload.sdss_schema import (
-    PROFILES,
-    build_first_catalog,
-    build_sdss_catalog,
-)
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.trace import PreparedTrace
 
 KNOWN_POLICIES = tuple(sorted(POLICY_REGISTRY)) + ("static",)
@@ -100,46 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reachable servers instead of failing the whole query"
         ),
     )
-    parser.add_argument(
-        "--serve", action="store_true",
-        help=(
-            "replay through the mediator service path (admission "
-            "control + shared-cache concurrency discipline) instead "
-            "of the simulator loop; --serve-tenants 1 is the serial "
-            "mode that matches the simulator byte for byte"
-        ),
-    )
-    parser.add_argument(
-        "--serve-tenants", default="1", metavar="N",
-        help="fan the trace out across N simulated tenants (--serve)",
-    )
-    parser.add_argument(
-        "--serve-seed", default="0", metavar="SEED",
-        help="tenant-interleave seed (--serve)",
-    )
-    parser.add_argument(
-        "--port", default="0", metavar="PORT",
-        help=(
-            "with --serve and a single policy: keep the service's "
-            "HTTP endpoint (/healthz, /metrics, /slo) up on PORT "
-            "after the replay, until POST /shutdown"
-        ),
-    )
-    parser.add_argument(
-        "--max-inflight", default="8", metavar="N",
-        help="queries decided per decision-lock hold (--serve)",
-    )
-    parser.add_argument(
-        "--tenant-rate", default="0", metavar="RATE",
-        help=(
-            "per-tenant admitted queries per arrival tick (--serve; "
-            "0/off/none/unlimited disables rate limiting)"
-        ),
-    )
-    parser.add_argument(
-        "--queue-depth", default="64", metavar="N",
-        help="per-tenant backlog before shedding to bypass (--serve)",
-    )
     return parser
 
 
@@ -194,89 +147,6 @@ def _run_with_traces(
     return results
 
 
-def _run_service(
-    prepared,
-    federation,
-    capacity: int,
-    granularity: str,
-    policies,
-    tenants: int,
-    seed: int,
-    config,
-    trace_dir: Optional[Path] = None,
-) -> Dict[str, SimulationResult]:
-    """Replay each policy through an in-process mediator service.
-
-    All policies share one event loop (the per-federation decision
-    lock binds to the loop it first awaits on), each gets a fresh
-    service over the shared federation.  ``tenants == 1`` drives
-    serially in trace order — the mode the golden-equivalence suite
-    pins against ``run_stream``.  With a nonzero ``config.port`` (one
-    policy only) the service's HTTP endpoint stays up after the replay
-    until ``POST /shutdown``.
-    """
-    import asyncio
-
-    from repro.obs.manifest import RunManifest, wall_clock_timestamp
-    from repro.obs.trace_io import TraceWriter
-    from repro.service.loadgen import drive_service, fan_out
-    from repro.service.server import MediatorService
-    from repro.sim.runner import build_policy
-    from repro.workload.stream import MaterializedStream
-
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
-
-    async def run_all() -> Dict[str, SimulationResult]:
-        results: Dict[str, SimulationResult] = {}
-        for name in policies:
-            sink = Instrumentation(max_events=0)
-            writer = None
-            if trace_dir is not None:
-                manifest = RunManifest(
-                    workload=prepared.name,
-                    policy=name,
-                    granularity=granularity,
-                    capacity_bytes=capacity,
-                    source="service",
-                    created_at=wall_clock_timestamp(),
-                )
-                path = trace_dir / f"trace-{name}.jsonl"
-                writer = TraceWriter(path, manifest)
-                sink.add_probe(writer)
-            policy = build_policy(
-                name, capacity, prepared, federation, granularity
-            )
-            service = MediatorService(
-                federation,
-                policy,
-                config=config,
-                granularity=granularity,
-                instrumentation=sink,
-            )
-            stream = fan_out(
-                MaterializedStream(prepared), tenants, seed
-            )
-            await drive_service(
-                service, stream, serial=(tenants == 1)
-            )
-            if config.port != 0:
-                await service.start()
-                print(f"serving on {service.url}", flush=True)
-                await service.serve_until_shutdown()
-            await service.close()
-            if writer is not None:
-                writer.close()
-                print(
-                    f"wrote {writer.events_written} events to "
-                    f"{writer.path}"
-                )
-            results[name] = service.result()
-        return results
-
-    return asyncio.run(run_all())
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.policy:
@@ -289,57 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not 0.0 < args.capacity_frac <= 1.0:
         print("capacity-frac must be in (0, 1]", file=sys.stderr)
         return 2
-
-    # --serve knobs are validated up front (before the trace loads),
-    # so garbage exits 2 cheaply, exactly like --parallel.
-    service_config = None
-    serve_tenants = 1
-    serve_seed = 0
-    if args.serve:
-        from repro.experiments.common import parse_bounded_int
-        from repro.service.config import (
-            ServiceConfig,
-            parse_max_inflight,
-            parse_port,
-            parse_queue_depth,
-            parse_tenant_rate,
-        )
-
-        try:
-            service_config = ServiceConfig(
-                port=parse_port(args.port),
-                max_inflight=parse_max_inflight(args.max_inflight),
-                tenant_rate=parse_tenant_rate(args.tenant_rate),
-                queue_depth=parse_queue_depth(args.queue_depth),
-            )
-            serve_tenants = parse_bounded_int(
-                args.serve_tenants, source="--serve-tenants",
-                minimum=1, what="tenant count",
-            )
-            serve_seed = parse_bounded_int(
-                args.serve_seed, source="--serve-seed", minimum=0,
-                what="seed",
-            )
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if args.faults is not None:
-            print(
-                "--serve does not support --faults", file=sys.stderr
-            )
-            return 2
-        if args.parallel is not None:
-            print(
-                "--serve replays in-process; drop --parallel",
-                file=sys.stderr,
-            )
-            return 2
-        if service_config.port != 0 and len(policies) != 1:
-            print(
-                "--serve --port needs exactly one --policy",
-                file=sys.stderr,
-            )
-            return 2
 
     # --parallel absent -> serial; bare --parallel -> default pool;
     # --parallel N -> pinned pool, validated like REPRO_PARALLEL.
@@ -377,31 +196,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"no such trace file: {args.trace}", file=sys.stderr)
         return 2
     profile = PROFILES[args.profile]
-    federation = Federation.single_site(build_sdss_catalog(profile), "sdss")
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(profile))
-    )
+    federation = build_federation(profile)
     capacity = max(
         1, int(federation.total_database_bytes() * args.capacity_frac)
     )
 
-    if args.serve:
-        results = _run_service(
-            prepared,
-            federation,
-            capacity,
-            args.granularity,
-            policies,
-            serve_tenants,
-            serve_seed,
-            service_config,
-            trace_dir=(
-                Path(args.trace_dir)
-                if args.trace_dir is not None
-                else None
-            ),
-        )
-    elif args.trace_dir is not None:
+    if args.trace_dir is not None:
         results = _run_with_traces(
             prepared,
             federation,

@@ -9,7 +9,7 @@ among the objects it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import CatalogError
 from repro.sqlengine.types import ColumnType
@@ -145,46 +145,3 @@ class DatabaseSchema:
 
     def table_names(self) -> List[str]:
         return [t.name for t in self.tables.values()]
-
-
-def resolve_column(
-    schemas: Sequence[TableSchema],
-    column_name: str,
-    table_hint: Optional[str] = None,
-) -> Tuple[TableSchema, Column]:
-    """Resolve a possibly-unqualified column against candidate tables.
-
-    Args:
-        schemas: Tables in scope (FROM-clause order).
-        column_name: Bare column name.
-        table_hint: Optional table name or alias that qualifies the column.
-
-    Returns:
-        The (table, column) pair.
-
-    Raises:
-        CatalogError: when the column is unknown or ambiguous.
-    """
-    if table_hint is not None:
-        hint = table_hint.lower()
-        for table in schemas:
-            if table.key == hint:
-                return table, table.column(column_name)
-        raise CatalogError(f"unknown table or alias {table_hint!r}")
-
-    matches = [
-        (table, table.column(column_name))
-        for table in schemas
-        if column_name in table
-    ]
-    if not matches:
-        names = ", ".join(t.name for t in schemas)
-        raise CatalogError(
-            f"column {column_name!r} not found in any of: {names}"
-        )
-    if len(matches) > 1:
-        owners = ", ".join(t.name for t, _ in matches)
-        raise CatalogError(
-            f"column {column_name!r} is ambiguous (in {owners})"
-        )
-    return matches[0]

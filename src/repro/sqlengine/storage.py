@@ -152,17 +152,6 @@ class Table:
         # A copy: inserts append to the index's own lists.
         return list(index.get(value, ()))
 
-    def row_at(self, index: int) -> Tuple[Any, ...]:
-        """Random access to one row."""
-        if not 0 <= index < self._row_count:
-            raise ExecutionError(
-                f"row index {index} out of range for table {self.name!r} "
-                f"({self._row_count} rows)"
-            )
-        return tuple(
-            self._columns[col.key][index] for col in self.schema.columns
-        )
-
     def __repr__(self) -> str:
         return (
             f"Table({self.name!r}, rows={self._row_count}, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Optional
+from typing import Any
 
 
 class ColumnType(enum.Enum):
@@ -88,18 +88,3 @@ class ColumnType(enum.Enum):
                 return value
             raise TypeError(f"cannot store {value!r} in string column")
         raise TypeError(f"unknown column type {self!r}")
-
-
-def type_of_literal(value: Any) -> Optional[ColumnType]:
-    """Infer the :class:`ColumnType` of a Python literal, or None for NULL."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise TypeError("boolean literals have no column type")
-    if isinstance(value, int):
-        return ColumnType.BIGINT
-    if isinstance(value, float):
-        return ColumnType.FLOAT
-    if isinstance(value, str):
-        return ColumnType.STRING
-    raise TypeError(f"unsupported literal {value!r}")

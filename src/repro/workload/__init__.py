@@ -55,6 +55,7 @@ from repro.workload.sdss_schema import (
     SMALL,
     TINY,
     ScaleProfile,
+    build_federation,
     build_first_catalog,
     build_sdss_catalog,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "YieldStats",
     "analyze_containment",
     "analyze_locality",
+    "build_federation",
     "build_first_catalog",
     "build_sdss_catalog",
     "dr1_trace",

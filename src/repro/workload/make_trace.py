@@ -26,9 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.yield_model import YIELD_MODES, make_yield_source
-from repro.federation.federation import Federation
 from repro.federation.mediator import Mediator
-from repro.federation.server import DatabaseServer
 from repro.workload.chunks import DEFAULT_CHUNK_SIZE, write_chunked
 from repro.workload.generator import (
     FLAVOR_THEME_WEIGHTS,
@@ -39,8 +37,7 @@ from repro.workload.prepare import prepare_trace
 from repro.workload.sdss_schema import (
     PROFILES,
     ScaleProfile,
-    build_first_catalog,
-    build_sdss_catalog,
+    build_federation,
 )
 from repro.workload.stats import format_stats, trace_stats, yield_stats
 from repro.workload.stream import GeneratedStream
@@ -108,19 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_mediator(profile: ScaleProfile) -> Mediator:
-    federation = Federation.single_site(build_sdss_catalog(profile), "sdss")
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(profile))
-    )
-    return Mediator(federation)
-
-
 def run_chunked(
     args: argparse.Namespace, config: TraceConfig, profile: ScaleProfile
 ) -> int:
     """The constant-memory path: generate→prepare→chunk, one query at a time."""
-    mediator = _build_mediator(profile)
+    mediator = Mediator(build_federation(profile))
     source = make_yield_source(args.yields, mediator=mediator)
     stream = GeneratedStream(config, mediator, source, profile)
     manifest = write_chunked(
@@ -161,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(format_stats(trace_stats(trace)))
 
     if args.prepare:
-        mediator = _build_mediator(profile)
+        mediator = Mediator(build_federation(profile))
         source = make_yield_source(args.yields, mediator=mediator)
         prepared = prepare_trace(trace, mediator, source=source)
         prepared_path = output.with_suffix(output.suffix + ".prepared.jsonl")

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.federation.federation import Federation
+from repro.federation.server import DatabaseServer
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.schema import Column, TableSchema
 from repro.sqlengine.types import ColumnType
@@ -476,6 +478,21 @@ def build_first_catalog(
     ]
     _populate_first(catalog, profile, rng, positions)
     return catalog
+
+
+def build_federation(profile: ScaleProfile = SMALL) -> Federation:
+    """The two-server federation every CLI and experiment replays against.
+
+    SDSS on server ``sdss``, plus the FIRST radio survey on its own
+    server ``first`` (the classic SkyQuery cross-match partner; DR1's
+    crossmatch theme joins against it through the mediator's
+    cross-server decomposition).
+    """
+    federation = Federation.single_site(build_sdss_catalog(profile), "sdss")
+    federation.add_server(
+        DatabaseServer("first", build_first_catalog(profile))
+    )
+    return federation
 
 
 def _populate_first(

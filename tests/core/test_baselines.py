@@ -1,14 +1,11 @@
-"""Unit tests for baseline policies (GDS, GDSP, LRU, LFU, LRU-K,
-static, semantic, no-cache)."""
+"""Unit tests for baseline policies (GDS, LRU, static, semantic,
+no-cache)."""
 
 import pytest
 
 from repro.core.events import CacheQuery, ObjectRequest
 from repro.core.policies.baselines import (
-    GDSPopularityPolicy,
     GreedyDualSizePolicy,
-    LFUPolicy,
-    LRUKPolicy,
     LRUPolicy,
     NoCachePolicy,
     SemanticCachePolicy,
@@ -109,26 +106,6 @@ class TestGreedyDualSize:
         assert "A" in policy.store and "B" in policy.store
 
 
-class TestGDSP:
-    def test_frequency_raises_utility(self):
-        policy = GDSPopularityPolicy(capacity_bytes=200)
-        # A referenced 3 times, same cost/size as B.
-        for i in range(3):
-            policy.process(query(i, ("A", 100, 100.0, 1.0)))
-        policy.process(query(3, ("B", 100, 100.0, 1.0)))
-        # C forces an eviction: B (frequency 1) goes, not A (frequency 3).
-        policy.process(query(4, ("C", 100, 100.0, 1.0)))
-        assert "A" in policy.store
-        assert "B" not in policy.store
-
-    def test_counts_all_references_not_just_cached(self):
-        policy = GDSPopularityPolicy(capacity_bytes=100)
-        big = ("big", 200, 200.0, 1.0)  # can never be cached
-        for i in range(4):
-            policy.process(query(i, big))
-        assert policy._frequency["big"] == 4
-
-
 class TestLRU:
     def test_evicts_least_recently_used(self):
         policy = LRUPolicy(capacity_bytes=200)
@@ -146,55 +123,6 @@ class TestLRU:
         policy.process(query(3, ("A", 100, 100.0, 1.0)))
         decision = policy.process(query(4, ("C", 100, 100.0, 1.0)))
         assert decision.evictions == ["B"]
-
-
-class TestLFU:
-    def test_evicts_least_frequently_used(self):
-        policy = LFUPolicy(capacity_bytes=200)
-        for i in range(3):
-            policy.process(query(i, ("A", 100, 100.0, 1.0)))
-        policy.process(query(3, ("B", 100, 100.0, 1.0)))
-        decision = policy.process(query(4, ("C", 100, 100.0, 1.0)))
-        assert decision.evictions == ["B"]
-
-    def test_counts_reset_on_eviction(self):
-        policy = LFUPolicy(capacity_bytes=200)
-        for i in range(5):
-            policy.process(query(i, ("A", 100, 100.0, 1.0)))
-        policy.process(query(5, ("B", 100, 100.0, 1.0)))
-        policy.process(query(6, ("C", 100, 100.0, 1.0)))  # B evicted
-        assert "B" not in policy._counts
-
-
-class TestLRUK:
-    def test_k_must_be_positive(self):
-        with pytest.raises(CacheError):
-            LRUKPolicy(100, k=0)
-
-    def test_object_with_short_history_evicted_first(self):
-        policy = LRUKPolicy(capacity_bytes=200, k=2)
-        # A referenced twice (full history), B once.
-        policy.process(query(0, ("A", 100, 100.0, 1.0)))
-        policy.process(query(1, ("A", 100, 100.0, 1.0)))
-        policy.process(query(2, ("B", 100, 100.0, 1.0)))
-        decision = policy.process(query(3, ("C", 100, 100.0, 1.0)))
-        assert decision.evictions == ["B"]
-
-    def test_history_survives_eviction(self):
-        policy = LRUKPolicy(capacity_bytes=100, k=2)
-        policy.process(query(0, ("A", 100, 100.0, 1.0)))
-        policy.process(query(1, ("B", 100, 100.0, 1.0)))  # evicts A
-        assert "A" in policy._history
-
-    def test_ties_broken_by_oldest_kth_reference(self):
-        policy = LRUKPolicy(capacity_bytes=200, k=2)
-        policy.process(query(0, ("A", 100, 100.0, 1.0)))
-        policy.process(query(1, ("A", 100, 100.0, 1.0)))
-        policy.process(query(2, ("B", 100, 100.0, 1.0)))
-        policy.process(query(3, ("B", 100, 100.0, 1.0)))
-        # Both have K references; A's K-th-most-recent is older.
-        decision = policy.process(query(4, ("C", 100, 100.0, 1.0)))
-        assert decision.evictions == ["A"]
 
 
 class TestStatic:
@@ -251,23 +179,6 @@ class TestSemantic:
         assert decision.bypassed
 
 
-class TestLFF:
-    def test_evicts_largest_first(self):
-        from repro.core.policies.baselines import LFFPolicy
-
-        policy = LFFPolicy(capacity_bytes=200)
-        policy.process(query(0, ("small", 40, 40.0, 1.0)))
-        policy.process(query(1, ("big", 150, 150.0, 1.0)))
-        decision = policy.process(query(2, ("mid", 100, 100.0, 1.0)))
-        assert decision.evictions == ["big"]
-        assert "small" in policy.store
-
-    def test_registered(self):
-        from repro.core.policies import make_policy
-
-        assert make_policy("lff", 100).name == "lff"
-
-
 class TestSemanticEvictionOrder:
     def test_lru_order_respects_hits(self):
         policy = SemanticCachePolicy(capacity_bytes=30)
@@ -284,24 +195,12 @@ class TestSemanticEvictionOrder:
         ).bypassed
 
 
-class TestGDSPEviction:
-    def test_h_value_includes_frequency(self):
-        policy = GDSPopularityPolicy(capacity_bytes=400)
-        for i in range(3):
-            policy.process(query(i, ("A", 100, 100.0, 1.0)))
-        policy.process(query(3, ("B", 100, 100.0, 1.0)))
-        # A's utility reflects frequency 3 vs B's 1.
-        assert policy.h_value("A") > policy.h_value("B")
-
-
 class TestInlinePoliciesNeverBypassWhenFits:
     @pytest.mark.parametrize(
         "factory",
         [
             lambda: GreedyDualSizePolicy(1000),
             lambda: LRUPolicy(1000),
-            lambda: LFUPolicy(1000),
-            lambda: LRUKPolicy(1000),
         ],
     )
     def test_always_serves_when_capacity_allows(self, factory):

@@ -1,7 +1,7 @@
-"""CLI hardening: garbage knobs exit 2 across all three entrypoints.
+"""CLI hardening: garbage knobs exit 2 across both service entrypoints.
 
-``repro-serve``, the load generator, and ``simulate --serve`` all
-route their knobs through the hardened parsers — a typo'd flag must
+``repro-serve`` and the load generator both route their knobs through
+the hardened parsers — a typo'd flag must
 exit 2 with the flag named on stderr, never fall back to a default.
 """
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.service.cli import main as serve_main
 from repro.service.loadgen import main as loadgen_main
-from repro.sim.simulate import main as simulate_main
 
 
 def _stderr(capsys):
@@ -75,42 +74,3 @@ class TestLoadgenExitCodes:
         ]
         assert loadgen_main(argv) == 2
         assert "trace" in _stderr(capsys)
-
-
-class TestSimulateServeExitCodes:
-    BASE = ["--trace", "/nonexistent/trace.jsonl", "--serve"]
-
-    @pytest.mark.parametrize(
-        "argv, needle",
-        [
-            (BASE + ["--port", "bogus"], "--port"),
-            (BASE + ["--max-inflight", "nope"], "--max-inflight"),
-            (BASE + ["--tenant-rate", "quick"], "--tenant-rate"),
-            (BASE + ["--queue-depth", "-2"], "--queue-depth"),
-            (BASE + ["--serve-tenants", "0"], "--serve-tenants"),
-            (BASE + ["--serve-seed", "x"], "--serve-seed"),
-            (BASE + ["--faults", "sched.json"], "--faults"),
-            (BASE + ["--parallel", "4"], "--parallel"),
-            (
-                BASE
-                + [
-                    "--port",
-                    "8791",
-                    "--policy",
-                    "rate-profile",
-                    "--policy",
-                    "gds",
-                ],
-                "one --policy",
-            ),
-        ],
-    )
-    def test_serve_knobs_validated_before_trace_load(
-        self, capsys, argv, needle
-    ):
-        """Exit 2 mentions the bad knob and never reaches the trace
-        loader (the trace path here does not exist)."""
-        assert simulate_main(argv) == 2
-        err = _stderr(capsys)
-        assert needle in err
-        assert "no such trace file" not in err

@@ -29,7 +29,7 @@ from repro.service.protocol import (
     decode_response,
     encode_request,
 )
-from repro.service.server import MediatorService
+from repro.service.server import MAX_HEADERS, MediatorService
 from repro.workload.stream import MaterializedStream
 from tests.service.conftest import make_federation
 from tests.service.live import ServerThread
@@ -176,6 +176,58 @@ class TestLiveServer:
             assert reason.endswith("\n") and reason.count("\n") == 1
 
             # A fresh connection is served as if nothing happened.
+            report = loadgen.drive_http(
+                server.url,
+                MaterializedStream(prepared_trace),
+                serial=True,
+            )
+            assert len(report.responses) == len(prepared_trace)
+            assert not report.errors
+            metrics = loadgen.http_get(server.url, "/metrics")
+            assert f"repro_decisions_total {len(prepared_trace)}\n" in metrics
+            assert loadgen.check_conservation(metrics) == []
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            # Declared, never sent: the server must refuse from the
+            # header alone, without waiting for (or allocating) a body.
+            (
+                b"POST /query HTTP/1.1\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n",
+                b"HTTP/1.1 413 Content Too Large",
+            ),
+            (
+                b"POST /query HTTP/1.1\r\n"
+                + b"".join(
+                    b"X-Filler-%d: x\r\n" % i
+                    for i in range(MAX_HEADERS + 1)
+                )
+                + b"\r\n",
+                b"HTTP/1.1 431 Request Header Fields Too Large",
+            ),
+        ],
+        ids=["declared-body-over-cap", "header-count-over-cap"],
+    )
+    def test_oversized_request_refused_then_connection_closed(
+        self, prepared_trace, capacity, request_bytes, status
+    ):
+        with ServerThread(capacity) as server:
+            host, port = server.url[len("http://"):].split(":")
+            with socket.create_connection((host, int(port)), 10) as sock:
+                sock.sendall(request_bytes)
+                sock.settimeout(10)
+                answer = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    answer += chunk
+            head, _, reason = answer.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == status
+            assert b"Connection: close" in head
+            assert reason.endswith(b"\n") and reason.count(b"\n") == 1
+
             report = loadgen.drive_http(
                 server.url,
                 MaterializedStream(prepared_trace),

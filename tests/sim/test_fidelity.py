@@ -13,11 +13,11 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.errors import CacheError
+from repro.federation.mediator import Mediator
 from repro.sim.fidelity import decision_flip_rate, yield_errors
-from repro.sim.scale_run import _build_mediator
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import estimate_trace, prepare_trace
-from repro.workload.sdss_schema import PROFILES
+from repro.workload.sdss_schema import PROFILES, build_federation
 
 CAPACITY = 40_000_000
 
@@ -41,7 +41,7 @@ FLIP_RATE_THRESHOLD = 0.15
 
 @pytest.fixture(scope="module", params=["edr", "dr1"])
 def traces(request):
-    mediator = _build_mediator(PROFILES["small"])
+    mediator = Mediator(build_federation(PROFILES["small"]))
     trace = generate_trace(
         TraceConfig(num_queries=150, flavor=request.param),
         PROFILES["small"],

@@ -14,13 +14,13 @@ import pytest
 
 from repro.core.yield_model import make_yield_source
 from repro.errors import CacheError
+from repro.federation.mediator import Mediator
 from repro.sim.runner import build_policy
-from repro.sim.scale_run import _build_mediator
 from repro.sim.simulator import Simulator
 from repro.sim.streaming import SampledSeries
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import prepare_trace
-from repro.workload.sdss_schema import PROFILES
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.stream import GeneratedStream, MaterializedStream
 
 CAPACITY = 2_000_000
@@ -83,7 +83,7 @@ class TestSampledSeries:
 
 @pytest.fixture(scope="module")
 def mediator():
-    return _build_mediator(PROFILES["small"])
+    return Mediator(build_federation(PROFILES["small"]))
 
 
 @pytest.fixture(scope="module", params=["edr", "dr1"])
@@ -213,7 +213,7 @@ class TestTreesAreBuiltOnlyWhenRead:
     QUERIES = 2000
 
     def _replay(self, mode):
-        mediator = _build_mediator(PROFILES["small"])
+        mediator = Mediator(build_federation(PROFILES["small"]))
         source = make_yield_source(mode, mediator=mediator)
         stream = GeneratedStream(
             TraceConfig(num_queries=self.QUERIES, flavor="edr"),

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.scale_run import _build_mediator
 from repro.sqlengine import Catalog, Column, ColumnType, TableSchema
 from repro.sqlengine.parser import parse
 from repro.sqlengine.planner import SchemaLookup, plan_select
@@ -24,7 +23,7 @@ from repro.sqlengine.statistics import (
     TableStatistics,
     YieldEstimator,
 )
-from repro.workload.sdss_schema import PROFILES
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.templates import TEMPLATES, RegionCursor
 
 from tests.sqlengine.reference_estimator import (
@@ -59,7 +58,7 @@ def _assert_same_estimates(sql, planner, lookup, compiled, reference):
 
 @pytest.fixture(scope="module")
 def sdss():
-    federation = _build_mediator(PROFILES["small"]).federation
+    federation = build_federation(PROFILES["small"])
     return (federation.schema_lookup(),) + _estimators(federation)
 
 

@@ -30,7 +30,8 @@ def lookup(table, column, value):
     positions = table.index_positions(column, value)
     if positions is None:
         return None
-    return [table.row_at(position) for position in positions]
+    rows = table.materialized_rows()
+    return [rows[position] for position in positions]
 
 
 class TestIndexMaintenance:

@@ -1,4 +1,4 @@
-"""Unit tests for columns, table schemas, and name resolution."""
+"""Unit tests for columns and table schemas."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.sqlengine.schema import (
     Column,
     DatabaseSchema,
     TableSchema,
-    resolve_column,
 )
 from repro.sqlengine.types import ColumnType
 
@@ -106,37 +105,3 @@ class TestDatabaseSchema:
         db.add(TableSchema("A", [Column("x", ColumnType.INT)]))
         db.add(TableSchema("B", [Column("y", ColumnType.INT)]))
         assert db.table_names() == ["A", "B"]
-
-
-class TestResolveColumn:
-    def _schemas(self):
-        left = TableSchema(
-            "L", [Column("id", ColumnType.BIGINT),
-                  Column("shared", ColumnType.INT)]
-        )
-        right = TableSchema(
-            "R", [Column("rid", ColumnType.BIGINT),
-                  Column("shared", ColumnType.INT)]
-        )
-        return [left, right]
-
-    def test_unique_unqualified_resolves(self):
-        table, col = resolve_column(self._schemas(), "rid")
-        assert table.name == "R"
-        assert col.name == "rid"
-
-    def test_ambiguous_unqualified_raises(self):
-        with pytest.raises(CatalogError, match="ambiguous"):
-            resolve_column(self._schemas(), "shared")
-
-    def test_qualified_disambiguates(self):
-        table, col = resolve_column(self._schemas(), "shared", "L")
-        assert table.name == "L"
-
-    def test_unknown_column_raises(self):
-        with pytest.raises(CatalogError, match="not found"):
-            resolve_column(self._schemas(), "ghost")
-
-    def test_unknown_table_hint_raises(self):
-        with pytest.raises(CatalogError, match="unknown table"):
-            resolve_column(self._schemas(), "id", "Z")

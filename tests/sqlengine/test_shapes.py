@@ -10,7 +10,6 @@ fallback is observable through the planner's counters.
 
 import pytest
 
-from repro.sim.scale_run import _build_mediator
 from repro.sqlengine.parser import parse
 from repro.sqlengine.planner import plan_select
 from repro.sqlengine.shapes import (
@@ -19,7 +18,7 @@ from repro.sqlengine.shapes import (
     statement_literals,
 )
 from repro.workload.generator import TraceConfig, iter_trace_records
-from repro.workload.sdss_schema import PROFILES
+from repro.workload.sdss_schema import PROFILES, build_federation
 
 from tests.conftest import build_catalog
 
@@ -81,7 +80,7 @@ class TestQueryShape:
 
 @pytest.fixture(scope="module")
 def lookup():
-    return _build_mediator(PROFILES["small"]).federation.schema_lookup()
+    return build_federation(PROFILES["small"]).schema_lookup()
 
 
 class TestShapePlanner:

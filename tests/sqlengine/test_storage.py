@@ -40,7 +40,7 @@ class TestInsert:
 
     def test_null_allowed(self, table):
         table.insert([1, None, None])
-        assert table.row_at(0) == (1, None, None)
+        assert list(table.rows()) == [(1, None, None)]
 
     def test_insert_many_returns_count(self, table):
         assert table.insert_many([[i, 1.0, i] for i in range(5)]) == 5
@@ -64,13 +64,6 @@ class TestAccess:
     def test_rows_in_schema_order(self, table):
         table.insert([1, 2.0, 3])
         assert list(table.rows()) == [(1, 2.0, 3)]
-
-    def test_row_at_bounds(self, table):
-        table.insert([1, 2.0, 3])
-        with pytest.raises(ExecutionError):
-            table.row_at(1)
-        with pytest.raises(ExecutionError):
-            table.row_at(-1)
 
     def test_unknown_column_raises(self, table):
         with pytest.raises(ExecutionError):

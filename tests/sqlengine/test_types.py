@@ -1,10 +1,8 @@
 """Unit tests for column types: widths, validation, coercion."""
 
-import math
-
 import pytest
 
-from repro.sqlengine.types import ColumnType, type_of_literal
+from repro.sqlengine.types import ColumnType
 
 
 class TestDefaultWidths:
@@ -90,25 +88,3 @@ class TestCoerce:
     def test_string_rejected_for_numeric(self):
         with pytest.raises(TypeError):
             ColumnType.FLOAT.coerce("3.5")
-
-
-class TestTypeOfLiteral:
-    def test_null_has_no_type(self):
-        assert type_of_literal(None) is None
-
-    def test_int_literal(self):
-        assert type_of_literal(5) is ColumnType.BIGINT
-
-    def test_float_literal(self):
-        assert type_of_literal(5.5) is ColumnType.FLOAT
-
-    def test_string_literal(self):
-        assert type_of_literal("s") is ColumnType.STRING
-
-    def test_bool_literal_rejected(self):
-        with pytest.raises(TypeError):
-            type_of_literal(True)
-
-    def test_unsupported_literal_rejected(self):
-        with pytest.raises(TypeError):
-            type_of_literal([1, 2])

@@ -10,9 +10,9 @@ import pytest
 
 from repro.core.policies.static_select import accumulate_object_yields
 from repro.core.yield_model import make_yield_source
-from repro.sim.scale_run import _build_mediator
+from repro.federation.mediator import Mediator
 from repro.workload.generator import TraceConfig
-from repro.workload.sdss_schema import PROFILES
+from repro.workload.sdss_schema import PROFILES, build_federation
 from repro.workload.stream import GeneratedStream, MaterializedStream
 from repro.workload.trace import canonical_query_line
 
@@ -21,7 +21,7 @@ from tests.workload.test_chunks import make_trace
 
 @pytest.fixture(scope="module")
 def mediator():
-    return _build_mediator(PROFILES["small"])
+    return Mediator(build_federation(PROFILES["small"]))
 
 
 def estimated_stream(mediator, **config_overrides):
