@@ -8,8 +8,8 @@ with exponential aging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.units import AnyCost, AnyRawBytes, AnyYield
 from repro.errors import CacheError

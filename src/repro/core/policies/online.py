@@ -17,13 +17,12 @@ each reference generates the object request with probability
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.events import CacheQuery, Decision, ObjectRequest
 from repro.core.object_cache import BypassObjectCache
 from repro.core.policies.base import CachePolicy
 from repro.core.units import AnyRawBytes
-from repro.errors import CacheError
 
 
 class OnlineBYPolicy(CachePolicy):

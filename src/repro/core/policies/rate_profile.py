@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 try:  # Vectorized eviction-candidate ranking; plain Python otherwise.
     import numpy as _np

@@ -9,7 +9,7 @@ whenever objects are small relative to capacity (our traces).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from repro.core.units import AnyRawBytes
 from repro.errors import CacheError

@@ -10,7 +10,7 @@ state aids in making the bypass decision".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import (
     ExperimentContext,

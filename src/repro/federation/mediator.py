@@ -51,12 +51,7 @@ if TYPE_CHECKING:  # avoids a repro.core <-> repro.federation cycle
     from repro.faults.transport import ResilientTransport
 from repro.sqlengine.ast_nodes import ColumnRef, column_refs
 from repro.sqlengine.executor import ResultSet, execute_plan
-from repro.sqlengine.planner import (
-    JoinEdge,
-    OutputColumn,
-    QueryPlan,
-    ScopeEntry,
-)
+from repro.sqlengine.planner import JoinEdge, OutputColumn, QueryPlan
 from repro.sqlengine.shapes import ShapePlanner
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List
 
 from repro.errors import FederationError
 from repro.sqlengine.catalog import Catalog

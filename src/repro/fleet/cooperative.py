@@ -53,7 +53,7 @@ from repro.faults.engine import FaultEngine
 from repro.federation.federation import Federation
 from repro.fleet.ring import ConsistentHashRing
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import SAMPLED_SERIES_POINTS
+from repro.sim.streaming import SampledSeries
 from repro.workload.trace import PreparedTrace
 
 if TYPE_CHECKING:
@@ -145,22 +145,19 @@ def run_cooperative(
     compiled = [pipeline.compile_trace(client.trace) for client in clients]
     cooperative = len(clients) > 1
 
-    results: List[SimulationResult] = []
-    strides: List[int] = []
-    for client, stream in zip(clients, compiled):
-        stride = 1
-        if record_series == "sampled":
-            stride = max(1, len(stream.events) // SAMPLED_SERIES_POINTS)
-        strides.append(stride)
-        results.append(
-            SimulationResult(
-                policy_name=client.policy.name,
-                granularity=granularity,
-                capacity_bytes=client.policy.capacity_bytes,
-                sequence_bytes=float(stream.sequence_bytes),
-                series_stride=stride,
-            )
+    results = [
+        SimulationResult(
+            policy_name=client.policy.name,
+            granularity=granularity,
+            capacity_bytes=client.policy.capacity_bytes,
+            sequence_bytes=float(stream.sequence_bytes),
         )
+        for client, stream in zip(clients, compiled)
+    ]
+    series = [
+        SampledSeries() if record_series == "sampled" else None
+        for _ in clients
+    ]
 
     def lookup_for(requester: str) -> Callable[[str], Optional[str]]:
         """The shard's peer hook: first live sibling holding an object,
@@ -198,8 +195,7 @@ def run_cooperative(
     for tick in range(rounds):
         for position, client in enumerate(clients):
             events = compiled[position].events
-            total = len(events)
-            if tick >= total:
+            if tick >= len(events):
                 continue
             result = results[position]
             pipeline.step(
@@ -211,11 +207,15 @@ def run_cooperative(
                 shard=client.name,
                 peer_lookup=lookups[position],
             )
-            if record_series and (
-                (tick + 1) % strides[position] == 0 or tick == total - 1
-            ):
+            sampled = series[position]
+            if sampled is not None:
+                sampled.observe(result.breakdown.total_bytes)
+            elif record_series:
                 result.cumulative_bytes.append(result.breakdown.total_bytes)
 
-    for result, stream in zip(results, compiled):
+    for result, stream, sampled in zip(results, compiled, series):
         result.queries = len(stream.events)
+        if sampled is not None:
+            result.cumulative_bytes = sampled.points()
+            result.series_stride = sampled.stride
     return results

@@ -44,7 +44,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Mapping, Tuple, Union
 
 from repro.core.instrumentation import DecisionEvent
 from repro.errors import ConfigurationError

@@ -76,6 +76,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Most header lines accepted in one request.
 MAX_HEADERS = 100
 
+#: Longest request or header line accepted (the stream reader's limit);
+#: a longer line is answered 414 or 431 instead of read.
+MAX_LINE_BYTES = 64 * 1024
+
 #: One queued unit: the admitted request and the future its submitter
 #: awaits for the response.
 _QueueItem = Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]
@@ -293,6 +297,7 @@ class MediatorService:
                 self._on_connection,
                 host if host is not None else self.config.host,
                 port if port is not None else self.config.port,
+                limit=MAX_LINE_BYTES,
             )
         return self
 
@@ -333,7 +338,12 @@ class MediatorService:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # longer than MAX_LINE_BYTES
+                    reason = f"request line over {MAX_LINE_BYTES} bytes\n"
+                    await _refuse_unread(writer, "414 URI Too Long", reason)
+                    break
                 if not request_line:
                     break
                 try:
@@ -343,9 +353,18 @@ class MediatorService:
                 except ValueError:
                     break
                 headers: Dict[str, str] = {}
-                too_many_headers = False
+                # A request the server will not read cannot be framed:
+                # answer, then hang up.
+                refusal: Optional[Tuple[str, str]] = None
                 for _ in range(MAX_HEADERS + 1):
-                    line = await reader.readline()
+                    try:
+                        line = await reader.readline()
+                    except ValueError:  # longer than MAX_LINE_BYTES
+                        refusal = (
+                            "431 Request Header Fields Too Large",
+                            f"header line over {MAX_LINE_BYTES} bytes\n",
+                        )
+                        break
                     if line in (b"\r\n", b"\n", b""):
                         break
                     key, _, value = (
@@ -353,49 +372,40 @@ class MediatorService:
                     )
                     headers[key.strip().lower()] = value.strip()
                 else:
-                    too_many_headers = True
+                    refusal = (
+                        "431 Request Header Fields Too Large",
+                        f"more than {MAX_HEADERS} header lines\n",
+                    )
                 try:
                     length = int(headers.get("content-length") or 0)
                 except ValueError:
                     length = -1
-                # A request the server will not read cannot be framed:
-                # answer, then hang up.
-                refusal: Optional[Tuple[str, bytes]] = None
-                if too_many_headers:
-                    refusal = (
-                        "431 Request Header Fields Too Large",
-                        f"more than {MAX_HEADERS} header lines\n".encode(),
-                    )
-                elif length < 0:
+                if refusal is None and length < 0:
                     refusal = (
                         "400 Bad Request",
-                        b"Content-Length must be a non-negative integer\n",
+                        "Content-Length must be a non-negative integer\n",
                     )
-                elif length > MAX_BODY_BYTES:
+                elif refusal is None and length > MAX_BODY_BYTES:
                     refusal = (
                         "413 Content Too Large",
-                        f"body over {MAX_BODY_BYTES} bytes\n".encode(),
+                        f"body over {MAX_BODY_BYTES} bytes\n",
                     )
                 if refusal is not None:
-                    ctype = TEXT_CONTENT_TYPE
-                    status, payload = refusal
-                else:
-                    body = (
-                        await reader.readexactly(length) if length else b""
-                    )
-                    status, ctype, payload = await self._route(
-                        method.upper(), target.split("?", 1)[0], body
-                    )
+                    await _refuse_unread(writer, *refusal)
+                    break
+                body = await reader.readexactly(length) if length else b""
+                status, ctype, payload = await self._route(
+                    method.upper(), target.split("?", 1)[0], body
+                )
                 head = (
                     f"HTTP/1.1 {status}\r\n"
                     f"Content-Type: {ctype}\r\n"
                     f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: {'keep-alive' if refusal is None else 'close'}"
-                    "\r\n\r\n"
+                    "Connection: keep-alive\r\n\r\n"
                 )
                 writer.write(head.encode("latin-1") + payload)
                 await writer.drain()
-                if refusal is not None or self._shutdown.is_set():
+                if self._shutdown.is_set():
                     break
         except (
             asyncio.IncompleteReadError,
@@ -473,6 +483,18 @@ class MediatorService:
             "application/jsonlines; charset=utf-8",
             "".join(payload).encode("utf-8"),
         )
+
+
+async def _refuse_unread(
+    writer: asyncio.StreamWriter, status: str, reason: str
+) -> None:
+    """Answer a request the server will not read, asking to close."""
+    head = (
+        f"HTTP/1.1 {status}\r\nContent-Type: {TEXT_CONTENT_TYPE}\r\n"
+        f"Content-Length: {len(reason)}\r\nConnection: close\r\n\r\n"
+    )
+    writer.write((head + reason).encode("latin-1"))
+    await writer.drain()
 
 
 def _error_line(exc: Exception, line_no: int) -> str:

@@ -116,7 +116,7 @@ def build_transport(
 
 
 def run_single(
-    trace: Union[PreparedTrace, CompiledTrace],
+    trace: Union[PreparedTrace, CompiledTrace, QueryStream],
     federation: Federation,
     policy_name: str,
     capacity_bytes: int,
@@ -131,7 +131,10 @@ def run_single(
 ) -> SimulationResult:
     """Run one policy over one trace.
 
-    With ``faults``, the replay runs behind a fresh
+    A :class:`~repro.workload.stream.QueryStream` replays through
+    :meth:`Simulator.run_stream` (never materialized), anything else
+    through :meth:`Simulator.run`.  With ``faults``, the replay runs
+    behind a fresh
     :class:`~repro.faults.transport.ResilientTransport` over the
     schedule; per-server observed-downtime counters land in the
     instrumentation sink after the run.  With ``tracer``, the decision
@@ -148,12 +151,14 @@ def run_single(
         policy_name, capacity_bytes, trace, federation, granularity,
         **kwargs,
     )
+    stream = isinstance(trace, QueryStream)
+    replay = simulator.run_stream if stream else simulator.run
     if faults is None:
-        return simulator.run(trace, policy, record_series=record_series)
+        return replay(trace, policy, record_series=record_series)
     transport = build_transport(faults, instrumentation)
     if tracer is not None:
         transport.attach_tracer(tracer)
-    result = simulator.run(
+    result = replay(
         trace,
         policy,
         record_series=record_series,

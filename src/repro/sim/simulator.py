@@ -9,7 +9,8 @@ from the federation.
 Query construction, cost accounting and the per-query step itself live
 in :class:`~repro.core.pipeline.DecisionPipeline`; :meth:`Simulator.run`
 and :meth:`Simulator.run_stream` only say where the events come from (a
-compiled list, a stream) and how the cumulative series is kept.
+compiled list, a stream) and share one replay loop and one series
+sampler.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.core.events import CacheQuery
 from repro.core.instrumentation import Instrumentation
-from repro.core.pipeline import CompiledTrace, DecisionPipeline
+from repro.core.pipeline import (
+    CompiledQuery,
+    CompiledTrace,
+    DecisionPipeline,
+)
 from repro.core.policies.base import CachePolicy
 from repro.federation.federation import Federation
 from repro.obs.spans import Tracer
@@ -30,10 +35,7 @@ from repro.workload.trace import PreparedQuery, PreparedTrace
 if TYPE_CHECKING:
     from repro.faults.transport import ResilientTransport
 
-__all__ = ["Simulator", "SAMPLED_SERIES_POINTS"]
-
-#: Target number of retained points when ``record_series="sampled"``.
-SAMPLED_SERIES_POINTS = 512
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -78,14 +80,8 @@ class Simulator:
                 tracer=tracer,
             )
         self.pipeline = pipeline
-        self.federation = pipeline.federation
         self.granularity = pipeline.granularity
-        self.policy_sees_weights = pipeline.policy_sees_weights
         self.objects = pipeline.catalog
-
-    @property
-    def instrumentation(self) -> Optional[Instrumentation]:
-        return self.pipeline.instrumentation
 
     def build_query(self, prepared: PreparedQuery, index: int) -> CacheQuery:
         """Convert one prepared query into the policy-facing event."""
@@ -110,10 +106,10 @@ class Simulator:
             policy: Any cache policy.
             record_series: ``True`` records the cumulative WAN series
                 after every query (the Figures 7-8 data); ``False``
-                records none; ``"sampled"`` records roughly
-                :data:`SAMPLED_SERIES_POINTS` evenly-strided points
-                (plus the final one), bounding memory on long traces.
-                The stride is stored as ``result.series_stride``.
+                records none; ``"sampled"`` keeps a bounded
+                adaptive-stride :class:`SampledSeries` (final point
+                included), whose stride is stored as
+                ``result.series_stride``.
             transport: Optional resilient transport
                 (:class:`~repro.faults.transport.ResilientTransport`)
                 placing the WAN behind retries, breakers, and a fault
@@ -124,31 +120,15 @@ class Simulator:
                 from the reachable servers only instead of failing the
                 whole query (degraded-mode serving).
         """
-        pipeline = self.pipeline
-        compiled = pipeline.compile_trace(trace)
-        total = len(compiled.events)
-        stride = 1
-        if record_series == "sampled":
-            stride = max(1, total // SAMPLED_SERIES_POINTS)
-        result = SimulationResult(
-            policy_name=policy.name,
-            granularity=self.granularity,
-            capacity_bytes=policy.capacity_bytes,
-            sequence_bytes=float(compiled.sequence_bytes),
-            series_stride=stride,
+        compiled = self.pipeline.compile_trace(trace)
+        return self._replay(
+            compiled.events,
+            policy,
+            record_series,
+            transport,
+            partial_results,
+            compiled.sequence_bytes,
         )
-        breakdown = result.breakdown
-        cumulative = result.cumulative_bytes
-        step = pipeline.step
-        for index, event in enumerate(compiled.events):
-            step(event, policy, result, index, transport, partial_results)
-            if record_series and (
-                (index + 1) % stride == 0 or index == total - 1
-            ):
-                cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] classic recorder; scale path samples via SampledSeries
-
-        result.queries = total
-        return result
 
     def run_stream(
         self,
@@ -161,39 +141,39 @@ class Simulator:
     ) -> SimulationResult:
         """Replay a prepared-query stream without materializing it.
 
-        The constant-memory counterpart of :meth:`run`: queries are
-        lowered one at a time through
+        The constant-memory counterpart of :meth:`run`, through the
+        same loop: queries are lowered one at a time by
         :meth:`~repro.core.pipeline.DecisionPipeline.iter_compiled`,
-        charged incrementally into the result, and dropped.  Nothing —
-        not the trace, not the compiled events, not the full series —
-        is ever held in full, so peak memory is independent of trace
-        length.  Decisions and WAN totals are byte-identical to
-        :meth:`run` over the same queries (the streaming golden-
-        equivalence suite pins this down); only the cumulative series
-        may differ in resolution, because a stream of unknown length
-        records through an adaptive-stride :class:`SampledSeries`
-        (``record_series="sampled"``, the default at scale) instead of
-        a fixed precomputed stride.
-
-        Args:
-            stream: A re-iterable :class:`~repro.workload.stream.QueryStream`
-                or any iterable of prepared queries (single-pass
-                iterators are fine — this method takes one pass).
-            policy: Any cache policy.
-            record_series: ``"sampled"`` (default) keeps a bounded
-                adaptive-stride series; ``True`` records every query
-                (memory grows with trace length — small traces only);
-                ``False`` records none.
-            transport: Optional resilient transport, as in :meth:`run`.
-            partial_results: As in :meth:`run`.
-            sequence_bytes: The trace's no-cache total, when known up
-                front (stream metadata supplies it for chunked traces);
-                otherwise it is accumulated during the pass.
+        charged, and dropped, so peak memory is independent of trace
+        length.  ``stream`` is a :class:`~repro.workload.stream.QueryStream`
+        or any (even single-pass) iterable of prepared queries;
+        ``record_series`` defaults to ``"sampled"`` here, because
+        ``True`` grows with the trace.  ``sequence_bytes`` is the
+        trace's no-cache total when known up front (chunked-trace
+        metadata supplies it); otherwise the pass accumulates it.
+        The other arguments are as in :meth:`run`.
         """
-        pipeline = self.pipeline
-        known_sequence: Optional[int] = sequence_bytes
-        if known_sequence is None and isinstance(stream, QueryStream):
-            known_sequence = stream.sequence_bytes
+        if sequence_bytes is None and isinstance(stream, QueryStream):
+            sequence_bytes = stream.sequence_bytes
+        return self._replay(
+            self.pipeline.iter_compiled(stream),
+            policy,
+            record_series,
+            transport,
+            partial_results,
+            sequence_bytes,
+        )
+
+    def _replay(
+        self,
+        events: Iterable[CompiledQuery],
+        policy: CachePolicy,
+        record_series: Union[bool, str],
+        transport: Optional["ResilientTransport"],
+        partial_results: bool,
+        sequence_bytes: Optional[int],
+    ) -> SimulationResult:
+        """The one per-query loop behind :meth:`run` and :meth:`run_stream`."""
         result = SimulationResult(
             policy_name=policy.name,
             granularity=self.granularity,
@@ -202,27 +182,20 @@ class Simulator:
         breakdown = result.breakdown
         cumulative = result.cumulative_bytes
         series = SampledSeries() if record_series == "sampled" else None
-        total = 0
+        step = self.pipeline.step
         accumulated_sequence = 0
-
-        for index, event in enumerate(pipeline.iter_compiled(stream)):
+        index = -1
+        for index, event in enumerate(events):
             accumulated_sequence += event.bypass_bytes
-            pipeline.step(
-                event, policy, result, index, transport, partial_results
-            )
+            step(event, policy, result, index, transport, partial_results)
             if series is not None:
                 series.observe(breakdown.total_bytes)
-            elif record_series is True:
-                # Full recording: explicit small-trace opt-in, the
-                # stream path's one unbounded structure.
-                cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] classic recorder; scale path samples via SampledSeries
-            total += 1
+            elif record_series:
+                cumulative.append(breakdown.total_bytes)  # repro-lint: allow[RPR007] explicit full-series opt-in; "sampled" stays bounded
 
-        result.queries = total
+        result.queries = index + 1
         result.sequence_bytes = float(
-            known_sequence
-            if known_sequence is not None
-            else accumulated_sequence
+            accumulated_sequence if sequence_bytes is None else sequence_bytes
         )
         if series is not None:
             result.cumulative_bytes = series.points()

@@ -1,13 +1,14 @@
-"""Bounded-memory accounting helpers for streaming replays.
+"""Bounded-memory cumulative series for every replay.
 
-The classic replay knows the trace length up front and records its
-cumulative-WAN series at a fixed stride.  A streaming replay does not
-know the length, so :class:`SampledSeries` keeps the series bounded by
+A replay need not know its length up front (a stream does not), so
+:class:`SampledSeries` keeps the cumulative-WAN series bounded by
 *stride doubling*: record every query at first, and whenever the buffer
 fills, drop every other point and double the stride.  The result is
 always between ``max_points / 2`` and ``max_points`` evenly-strided
 points covering the whole run — constant memory for any trace length,
-and deterministic (the same inputs produce the same series).
+and deterministic (the same inputs produce the same series).  It is the
+one ``record_series="sampled"`` recorder: the simulator's replay loop,
+the cooperative fleet and the service all use it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import List
 
 from repro.errors import CacheError
 
-#: Default retained-point bound; twice the classic sampled target so the
-#: downsampled stream resolution brackets the batch one.
+#: Default retained-point bound: a run of up to 1024 queries keeps every
+#: point, a longer one 512-1024 evenly-strided points.
 DEFAULT_MAX_POINTS = 1024
 
 

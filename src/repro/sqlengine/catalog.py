@@ -11,7 +11,7 @@ answers the two questions the bypass-yield cache keeps asking:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.errors import CatalogError
 from repro.sqlengine.schema import DatabaseSchema, TableSchema

@@ -10,7 +10,7 @@ standing in for UNKNOWN.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanError
 from repro.sqlengine.ast_nodes import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, List
 
 from repro.errors import LexerError
 

@@ -40,7 +40,7 @@ import re
 from collections import OrderedDict
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sqlengine.ast_nodes import (
     BetweenOp,

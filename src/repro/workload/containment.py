@@ -13,7 +13,7 @@ cannot help this workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.federation.mediator import Mediator
 from repro.workload.trace import Trace, TraceRecord

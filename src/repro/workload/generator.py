@@ -19,8 +19,8 @@ different (heavier) traffic profile as in the paper's Tables 1-2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional
 
 from repro.errors import WorkloadError
 from repro.workload.sdss_schema import SMALL, ScaleProfile

@@ -13,7 +13,7 @@ caching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.sqlengine.ast_nodes import column_refs
 from repro.sqlengine.parser import parse

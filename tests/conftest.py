@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.federation import DatabaseServer, Federation, Mediator
+from repro.federation import Federation, Mediator
 from repro.sqlengine import Catalog, Column, ColumnType, TableSchema
 
 BIGINT = ColumnType.BIGINT

@@ -7,7 +7,7 @@ from repro.core.object_cache import BypassObjectCache
 from repro.core.policies.online import OnlineBYPolicy
 from repro.core.store import CacheStore
 from repro.errors import CacheError
-from repro.federation import Federation, Mediator
+from repro.federation import Federation
 from repro.sim.simulator import Simulator
 from repro.workload.trace import PreparedQuery, PreparedTrace
 

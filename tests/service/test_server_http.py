@@ -206,8 +206,24 @@ class TestLiveServer:
                 + b"\r\n",
                 b"HTTP/1.1 431 Request Header Fields Too Large",
             ),
+            # One line past the stream reader's limit: answered, not
+            # dropped with zero bytes.
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                b"HTTP/1.1 414 URI Too Long",
+            ),
+            (
+                b"POST /query HTTP/1.1\r\n"
+                b"X-Filler: " + b"x" * 70_000 + b"\r\n\r\n",
+                b"HTTP/1.1 431 Request Header Fields Too Large",
+            ),
         ],
-        ids=["declared-body-over-cap", "header-count-over-cap"],
+        ids=[
+            "declared-body-over-cap",
+            "header-count-over-cap",
+            "request-line-over-limit",
+            "header-line-over-limit",
+        ],
     )
     def test_oversized_request_refused_then_connection_closed(
         self, prepared_trace, capacity, request_bytes, status

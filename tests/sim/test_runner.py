@@ -13,7 +13,6 @@ from repro.sim.runner import (
     run_single,
     run_sweep,
 )
-from repro.sim.simulator import SAMPLED_SERIES_POINTS
 from repro.workload.trace import PreparedQuery, PreparedTrace
 
 from tests.conftest import build_catalog
@@ -395,7 +394,7 @@ class TestSampledSeries:
         sampled = run_single(
             trace, federation, "no-cache", 100, record_series="sampled"
         )
-        stride = max(1, 1100 // SAMPLED_SERIES_POINTS)
+        stride = 2
         assert stride > 1  # the trace is long enough to downsample
         assert sampled.series_stride == stride
         assert full.series_stride == 1

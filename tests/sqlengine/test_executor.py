@@ -7,7 +7,6 @@ The catalog holds 20 PhotoObj rows (objID 1..20, ra = (objID-1)*10) and
 import pytest
 
 from repro.errors import ExecutionError, PlanError
-from repro.sqlengine import QueryEngine
 
 
 class TestProjectionAndFilter:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
-from repro.sqlengine.lexer import Token, TokenType, tokenize
+from repro.sqlengine.lexer import TokenType, tokenize
 
 
 def kinds(sql):

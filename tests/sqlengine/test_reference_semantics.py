@@ -8,7 +8,7 @@ rows, and the results must agree exactly.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import pytest
 from hypothesis import given, settings

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.sqlengine import QueryEngine
 from repro.sqlengine.functions import is_scalar_function, scalar_function
 from repro.sqlengine.parser import parse
 from repro.sqlengine.printer import to_sql

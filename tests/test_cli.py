@@ -1,5 +1,7 @@
 """Tests for the command-line entry points."""
 
+import json
+
 import pytest
 
 from repro.workload.make_trace import main as make_trace_main
@@ -370,3 +372,79 @@ class TestSimulateFaults:
         )
         assert code == 0
         assert (trace_dir / "trace-no-cache.jsonl").exists()
+
+
+class TestSimulateStreamed:
+    """``simulate`` over streamed sources: a generated flavor or a
+    chunked trace directory, with the deterministic ``-o`` report."""
+
+    GENERATED = [
+        "--flavor", "edr", "-n", "300", "--yields", "estimated",
+        "--policy", "online-by", "--capacity-frac", "0.1",
+    ]
+
+    def test_report_is_byte_identical_with_and_without_peak_ceiling(
+        self, tmp_path, capsys
+    ):
+        from repro.sim.simulate import main as simulate_main
+
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert simulate_main(
+            self.GENERATED + ["--max-peak-mb", "200", "-o", str(first)]
+        ) == 0
+        assert simulate_main(self.GENERATED + ["-o", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        report = json.loads(first.read_text())
+        assert report["trace"]["num_queries"] == 300
+        policy = report["policies"]["online-by"]
+        assert policy["cumulative_bytes"][-1] == policy["summary"]["total_bytes"]
+        assert "tracemalloc peak" in capsys.readouterr().err
+
+    def test_peak_over_ceiling_exits_3(self, capsys):
+        from repro.sim.simulate import main as simulate_main
+
+        assert simulate_main(self.GENERATED + ["--max-peak-mb", "0.001"]) == 3
+        assert "exceeds ceiling" in capsys.readouterr().err
+
+    def test_chunked_directory_matches_prepared_file(self, tmp_path, capsys):
+        from repro.sim.simulate import main as simulate_main
+
+        base = ["-n", "300", "--profile", "tiny"]
+        make_trace_main(base + ["--prepare", "-o", str(tmp_path / "t.jsonl")])
+        make_trace_main(base + ["--chunked", str(tmp_path / "chunks")])
+        replay = ["--profile", "tiny", "--capacity-frac", "0.2"]
+        capsys.readouterr()
+        assert simulate_main(
+            ["--trace", str(tmp_path / "t.jsonl.prepared.jsonl")] + replay
+        ) == 0
+        from_file = capsys.readouterr().out
+        assert simulate_main(
+            ["--trace", str(tmp_path / "chunks")] + replay
+        ) == 0
+        assert capsys.readouterr().out == from_file
+        assert "300 queries" in from_file and "static" in from_file
+
+    def test_trace_and_flavor_together_exit_2(self, tmp_path, capsys):
+        from repro.sim.simulate import main as simulate_main
+
+        with pytest.raises(SystemExit) as exc:
+            simulate_main(
+                ["--trace", str(tmp_path / "t.jsonl"), "--flavor", "edr"]
+            )
+        assert exc.value.code == 2
+
+    def test_generator_options_refused_with_trace(self, tmp_path, capsys):
+        from repro.sim.simulate import main as simulate_main
+
+        code = simulate_main(["--trace", str(tmp_path / "t.jsonl"), "-n", "5"])
+        assert code == 2
+        assert "--flavor" in capsys.readouterr().err
+
+    def test_static_over_generated_stream_exits_2(self, capsys):
+        from repro.sim.simulate import main as simulate_main
+
+        code = simulate_main(
+            ["--flavor", "edr", "-n", "50", "--policy", "static"]
+        )
+        assert code == 2
+        assert "object totals" in capsys.readouterr().err

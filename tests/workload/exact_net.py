@@ -17,27 +17,15 @@ import sys
 
 from repro.federation.federation import Federation
 from repro.federation.mediator import Mediator
-from repro.federation.server import DatabaseServer
 from repro.workload.generator import TraceConfig, generate_trace
 from repro.workload.prepare import prepare_trace
-from repro.workload.sdss_schema import (
-    SMALL,
-    build_first_catalog,
-    build_sdss_catalog,
-)
+
+# What ``make_trace`` prepares against (its default profile is SMALL).
+from repro.workload.sdss_schema import SMALL, build_federation
 from repro.workload.templates import THEMES
 
 SEEDS = (7, 11, 2005)
 NUM_QUERIES = 320
-
-
-def build_federation() -> Federation:
-    """What ``make_trace`` prepares against."""
-    federation = Federation.single_site(build_sdss_catalog(SMALL), "sdss")
-    federation.add_server(
-        DatabaseServer("first", build_first_catalog(SMALL))
-    )
-    return federation
 
 
 def capture(federation: Federation) -> dict:

@@ -13,12 +13,7 @@ import pytest
 
 from repro.core.policies.static_select import accumulate_object_yields
 from repro.errors import WorkloadError
-from repro.workload.chunks import (
-    CHUNK_FORMAT,
-    ChunkedTrace,
-    ChunkManifest,
-    write_chunked,
-)
+from repro.workload.chunks import ChunkedTrace, ChunkManifest, write_chunked
 from repro.workload.trace import PreparedQuery, PreparedTrace
 
 

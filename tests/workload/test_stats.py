@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.workload.stats import (
-    TraceStats,
-    YieldStats,
-    format_stats,
-    trace_stats,
-    yield_stats,
-)
+from repro.workload.stats import format_stats, trace_stats, yield_stats
 from repro.workload.trace import (
     PreparedQuery,
     PreparedTrace,
