@@ -262,7 +262,7 @@ _DEFAULT_CONTRACTS: Tuple[EffectContract, ...] = (
             {"spans", "spans_seen", "_clock", "_stack", "_sinks"}
         ),
         mutators=frozenset(
-            {"start", "finish", "record", "add_sink", "reset", "_seal"}
+            {"start", "finish", "record", "add_sink", "reset"}
         ),
         description=(
             "span tracer buffer, logical clock, and sink fan-out"

@@ -14,10 +14,10 @@ Violations can be suppressed per line with a pragma comment::
 The pragma names the rule it silences (``allow[RPR002]``) or silences
 every rule on the line (bare ``allow``); an optional trailing reason is
 encouraged.  Modules whose entire purpose is exempt from a rule (e.g.
-:mod:`repro.obs.manifest`, which stamps wall-clock timestamps by design)
+:mod:`repro.obs.spans`, which measures per-span wall time by design)
 declare it once with a **file pragma** on a standalone comment line::
 
-    # repro-lint: allow-file[RPR002] manifests stamp metadata, not replays
+    # repro-lint: allow-file[RPR002] wall-clock reads here are observability
 
 Unlike the line pragma, ``allow-file`` *requires* an explicit rule list —
 there is no spelling that exempts a whole module from every rule.  A

@@ -79,8 +79,7 @@ from repro.obs.spans import (
     STAGE_DECIDE,
     STAGE_LOAD,
     STAGE_QUERY,
-    Tracer,
-    live_tracer,
+    SpanTracer,
 )
 from repro.sqlengine.planner import QueryPlan
 from repro.workload.trace import PreparedQuery, PreparedTrace
@@ -458,9 +457,9 @@ class DecisionPipeline:
             federation's shared one.
         instrumentation: Optional observability sink; decision events
             flow through :meth:`emit_decision`.
-        tracer: Optional span tracer.  A disabled tracer (``NullTracer``)
-            is normalized to ``None`` so the replay hot path pays one
-            ``is None`` test per traced site and nothing else.
+        tracer: Optional span tracer; ``None`` turns tracing off, and
+            the replay hot path then pays one ``is None`` test per
+            traced site and nothing else.
     """
 
     def __init__(
@@ -470,7 +469,7 @@ class DecisionPipeline:
         policy_sees_weights: bool = True,
         catalog: Optional[ObjectCatalog] = None,
         instrumentation: Optional[Instrumentation] = None,
-        tracer: "Optional[Tracer]" = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if granularity not in GRANULARITIES:
             raise CacheError(
@@ -482,7 +481,7 @@ class DecisionPipeline:
         self.policy_sees_weights = policy_sees_weights
         self.catalog = catalog or shared_catalog(federation)
         self.instrumentation = instrumentation
-        self.tracer = live_tracer(tracer)
+        self.tracer = tracer
 
     # -- query construction ---------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import FaultError
 from repro.faults.engine import FaultEngine, uniform_draw
-from repro.obs.spans import STAGE_ATTEMPT, Tracer, live_tracer
+from repro.obs.spans import STAGE_ATTEMPT, SpanTracer
 
 #: Breaker states, in transition order.
 BREAKER_CLOSED = "closed"
@@ -248,14 +248,14 @@ class ResilientTransport:
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         on_counter: Optional[CounterHook] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         self._engine = engine
         self._retry = retry or RetryPolicy()
         self._breaker_policy = breaker or BreakerPolicy()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._on_counter = on_counter
-        self._tracer = live_tracer(tracer)
+        self._tracer = tracer
         self._request_id = 0
         self._requests = 0
         self._retries = 0
@@ -286,9 +286,9 @@ class ResilientTransport:
         """
         self._on_counter = hook
 
-    def attach_tracer(self, tracer: Optional[Tracer]) -> None:
+    def attach_tracer(self, tracer: Optional[SpanTracer]) -> None:
         """Late tracer wiring, mirroring :meth:`set_counter_hook`."""
-        self._tracer = live_tracer(tracer)
+        self._tracer = tracer
 
     def _count(self, name: str, value: int = 1) -> None:
         if self._on_counter is not None and value:

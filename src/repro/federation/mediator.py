@@ -41,8 +41,7 @@ from repro.obs.spans import (
     STAGE_EXECUTE,
     STAGE_LOAD,
     STAGE_PLAN,
-    Tracer,
-    live_tracer,
+    SpanTracer,
 )
 
 if TYPE_CHECKING:  # avoids a repro.core <-> repro.federation cycle
@@ -100,8 +99,8 @@ class Mediator:
             advance it once per query.
         tracer: Optional span tracer.  Plan-cache lookups, SQL
             execution (with vectorized-vs-row-path scan attribution),
-            object loads, and bypass shipments each get a span; a
-            disabled tracer is normalized to ``None``.
+            object loads, and bypass shipments each get a span;
+            ``None`` turns tracing off.
     """
 
     def __init__(
@@ -111,7 +110,7 @@ class Mediator:
         instrumentation: Optional["Instrumentation"] = None,
         transport: Optional["ResilientTransport"] = None,
         clock: Optional["FaultClock"] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if plan_cache_size <= 0:
             raise FederationError("plan_cache_size must be positive")
@@ -125,7 +124,7 @@ class Mediator:
 
             clock = _FaultClock()
         self.clock = clock
-        self.tracer = live_tracer(tracer)
+        self.tracer = tracer
         self._plan_cache: "OrderedDict[str, QueryPlan]" = OrderedDict()
         self._plan_cache_size = plan_cache_size
         self._shapes = ShapePlanner(self._lookup)

@@ -12,9 +12,6 @@ is clock-free (repro-lint RPR002), so wall-clock reads happen only at
 the CLI edge, via :func:`wall_clock_timestamp` below.
 """
 
-# repro-lint: allow-file[RPR002] manifests stamp observability metadata,
-# never replay state; wall_clock_timestamp is the sanctioned edge.
-
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field

@@ -30,11 +30,11 @@ Exit codes: 0 clean, 1 regressions/SLO failures found, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cli import quiet_on_broken_pipe
 from repro.core.instrumentation import DecisionEvent
 from repro.errors import ReproError
 from repro.obs.manifest import RunManifest
@@ -379,6 +379,7 @@ def run_slo(
     return 0 if report.ok else 1
 
 
+@quiet_on_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.threshold < 0:
@@ -430,13 +431,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; not an error for a
-        # terminal-rendering tool. Detach stdout so the interpreter's
-        # shutdown flush does not raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
 
 
 if __name__ == "__main__":

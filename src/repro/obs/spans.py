@@ -28,10 +28,10 @@ make that true:
   (``wall_clock=True``), but that measurement rides on the in-memory
   span only; :meth:`Span.to_json` deliberately omits it.
 
-The disabled path costs nothing: drivers hold ``tracer=None`` (or an
-:class:`NullTracer`, which pipelines normalize to ``None``) and pay one
-``is None`` test per traced site, and the golden-equivalence suite pins
-decisions and WAN totals byte-identical with tracing on or off.
+The disabled path costs nothing: ``tracer=None`` is the one off
+switch, drivers pay one ``is None`` test per traced site, and the
+golden-equivalence suite pins decisions and WAN totals byte-identical
+with tracing on or off.
 """
 
 # repro-lint: allow-file[RPR002] wall-clock reads here are observability
@@ -43,17 +43,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from types import TracebackType
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Type,
-    Union,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.jsonl import JsonlReader, JsonlWriter
@@ -85,7 +75,14 @@ def span_id_for(seed: int, *parts: object) -> str:
 
 
 class Span:
-    """One finished span: a named interval in the decision path.
+    """One span: a named interval in the decision path.
+
+    :meth:`SpanTracer.start` returns a span open, and the traced code
+    attaches attributes with :meth:`set` as it learns them;
+    :meth:`SpanTracer.finish` completes the same object in place.  While
+    open, ``attrs`` is a dict, ``end`` is 0 and ``wall_seconds`` holds the
+    ``perf_counter`` reading at start (None when the tracer does not
+    measure wall time); the fields below describe a finished span.
 
     Attributes:
         trace_id: Run-level correlation id (same for every span of one
@@ -145,6 +142,10 @@ class Span:
         self.attrs = attrs
         self.wall_seconds = wall_seconds
 
+    def set(self, key: str, value: object) -> None:
+        """Attach an attribute to an open span."""
+        self.attrs[key] = value
+
     @property
     def duration(self) -> int:
         """Logical duration in ticks."""
@@ -196,44 +197,6 @@ class Span:
         )
 
 
-class ActiveSpan:
-    """A started-but-unfinished span handle returned by
-    :meth:`SpanTracer.start`.
-
-    Mutable on purpose: the traced code attaches bytes and attributes
-    as it learns them, then :meth:`SpanTracer.finish` freezes the
-    handle into a :class:`Span` and dispatches it to the sinks.
-    """
-
-    __slots__ = (
-        "name", "index", "tenant", "parent_id", "span_id",
-        "start", "bytes_moved", "attrs", "_wall_start",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        index: int,
-        tenant: str,
-        parent_id: str,
-        span_id: str,
-        start: int,
-        wall_start: Optional[float],
-    ) -> None:
-        self.name = name
-        self.index = index
-        self.tenant = tenant
-        self.parent_id = parent_id
-        self.span_id = span_id
-        self.start = start
-        self.bytes_moved = 0
-        self.attrs: Dict[str, object] = {}
-        self._wall_start = wall_start
-
-    def set(self, key: str, value: object) -> None:
-        self.attrs[key] = value
-
-
 class SpanSink:
     """Receives finished spans; subclass and override :meth:`on_span`."""
 
@@ -263,10 +226,6 @@ class SpanTracer:
     repro-lint RPR004).
     """
 
-    #: Tracers advertise liveness so pipelines can normalize a disabled
-    #: tracer to ``None`` and keep the hot path branch-free.
-    enabled = True
-
     def __init__(
         self,
         seed: int = 0,
@@ -283,7 +242,7 @@ class SpanTracer:
         self.spans_seen = 0
         self._sinks: List[SpanSink] = []
         self._clock = 0
-        self._stack: List[ActiveSpan] = []
+        self._stack: List[Span] = []
 
     # -- sinks -----------------------------------------------------------
 
@@ -300,85 +259,55 @@ class SpanTracer:
         index: int = -1,
         tenant: str = "",
         **attrs: object,
-    ) -> ActiveSpan:
+    ) -> Span:
         """Open a span; it parents every span started before its finish."""
         self._clock += 1
-        start = self._clock
-        parent_id = self._stack[-1].span_id if self._stack else ""
-        if index < 0 and self._stack:
-            # Inherit the enclosing span's query index: layers below
-            # the replay loop (transport attempts, SQL execution) don't
-            # know which query they serve, but their parent does.
-            index = self._stack[-1].index
-        span_id = span_id_for(self.seed, index, name, start)
-        wall_start = time.perf_counter() if self.wall_clock else None
-        active = ActiveSpan(
+        parent = self._stack[-1] if self._stack else None
+        if parent is not None:
+            # Inherit the enclosing span's query index and tenant:
+            # layers below the replay loop (transport attempts, SQL
+            # execution) don't know which query they serve, but their
+            # parent does.
+            if index < 0:
+                index = parent.index
+            tenant = tenant or parent.tenant
+        span = Span(
+            trace_id=self.trace_id,
+            span_id=span_id_for(self.seed, index, name, self._clock),
+            parent_id=parent.span_id if parent is not None else "",
             name=name,
             index=index,
-            tenant=tenant or (self._stack[-1].tenant if self._stack else ""),
-            parent_id=parent_id,
-            span_id=span_id,
-            start=start,
-            wall_start=wall_start,
+            tenant=tenant,
+            start=self._clock,
+            end=0,
+            attrs=attrs,  # a dict until finish freezes it
+            wall_seconds=time.perf_counter() if self.wall_clock else None,
         )
-        if attrs:
-            active.attrs.update(attrs)
-        self._stack.append(active)
-        return active
+        self._stack.append(span)
+        return span
 
     def finish(
         self,
-        active: ActiveSpan,
+        span: Span,
         bytes_moved: int = 0,
         **attrs: object,
     ) -> Span:
-        """Close ``active`` (and any unclosed children) into a Span."""
+        """Complete ``span`` (and any unclosed children) and record it."""
+        span.bytes_moved += int(bytes_moved)
+        span.attrs.update(attrs)
         # Pop through any children the traced code failed to close —
         # an exception unwound past them; close them at this tick so
         # the file stays well-formed.
-        while self._stack and self._stack[-1] is not active:
-            dangling = self._stack[-1]
-            self.record(self._seal(dangling, 0))
-        if self._stack and self._stack[-1] is active:
-            self._stack.pop()
-        if bytes_moved:
-            active.bytes_moved += int(bytes_moved)
-        if attrs:
-            active.attrs.update(attrs)
-        span = self._seal(active, active.bytes_moved)
-        self.record(span)
-        return span
-
-    def _seal(self, active: ActiveSpan, bytes_moved: int) -> Span:
-        self._clock += 1
-        if self._stack and self._stack and active in self._stack:
-            self._stack.remove(active)
-        wall = None
-        if active._wall_start is not None:
-            wall = time.perf_counter() - active._wall_start
-        return Span(
-            trace_id=self.trace_id,
-            span_id=active.span_id,
-            parent_id=active.parent_id,
-            name=active.name,
-            index=active.index,
-            tenant=active.tenant,
-            start=active.start,
-            end=self._clock,
-            bytes_moved=bytes_moved,
-            attrs=tuple(sorted(active.attrs.items())),
-            wall_seconds=wall,
-        )
-
-    def span(
-        self,
-        name: str,
-        index: int = -1,
-        tenant: str = "",
-        **attrs: object,
-    ) -> "_SpanContext":
-        """Context-manager form of :meth:`start`/:meth:`finish`."""
-        return _SpanContext(self, name, index, tenant, attrs)
+        while True:
+            closing = self._stack.pop() if self._stack else span
+            self._clock += 1
+            closing.end = self._clock
+            closing.attrs = tuple(sorted(closing.attrs.items()))
+            if closing.wall_seconds is not None:
+                closing.wall_seconds = time.perf_counter() - closing.wall_seconds
+            self.record(closing)
+            if closing is span:
+                return span
 
     # -- dispatch --------------------------------------------------------
 
@@ -402,102 +331,6 @@ class SpanTracer:
             f"SpanTracer(seed={self.seed}, spans_seen={self.spans_seen}, "
             f"clock={self._clock})"
         )
-
-
-class _SpanContext:
-    """``with tracer.span(...)`` support."""
-
-    __slots__ = ("_tracer", "_name", "_index", "_tenant", "_attrs", "active")
-
-    def __init__(
-        self,
-        tracer: SpanTracer,
-        name: str,
-        index: int,
-        tenant: str,
-        attrs: Dict[str, object],
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._index = index
-        self._tenant = tenant
-        self._attrs = attrs
-        self.active: Optional[ActiveSpan] = None
-
-    def __enter__(self) -> ActiveSpan:
-        self.active = self._tracer.start(
-            self._name, self._index, self._tenant, **self._attrs
-        )
-        return self.active
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        assert self.active is not None
-        if exc_type is not None:
-            self.active.set("error", exc_type.__name__)
-        self._tracer.finish(self.active)
-
-
-class NullTracer:
-    """The do-nothing tracer: every operation is a no-op.
-
-    Pipelines normalize a tracer whose ``enabled`` is False to ``None``
-    at construction time, so with a NullTracer attached the replay loop
-    executes the *identical* instruction stream as with no tracer at
-    all.
-    """
-
-    enabled = False
-
-    def add_sink(self, sink: SpanSink) -> SpanSink:
-        return sink
-
-    def start(self, name: str, index: int = -1, tenant: str = "",
-              **attrs: object) -> None:
-        return None
-
-    def finish(self, active: object, bytes_moved: int = 0,
-               **attrs: object) -> None:
-        return None
-
-    def span(self, name: str, index: int = -1, tenant: str = "",
-             **attrs: object) -> "_NullContext":
-        return _NULL_CONTEXT
-
-    def record(self, span: Span) -> None:
-        return None
-
-    def reset(self) -> None:
-        return None
-
-
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-Tracer = Union[SpanTracer, NullTracer]
-
-
-def live_tracer(tracer: Optional[Tracer]) -> Optional[SpanTracer]:
-    """Normalize a tracer argument: disabled/Null tracers become None.
-
-    Every pipeline entry point funnels its ``tracer`` argument through
-    this, so the hot path only ever tests ``tracer is not None``.
-    """
-    if tracer is None or not tracer.enabled:
-        return None
-    assert isinstance(tracer, SpanTracer)
-    return tracer
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +418,6 @@ class SpanReader(JsonlReader[Span]):
 
     def read_all(self) -> List[Span]:
         return list(self)
-
-
-def read_spans(path: Union[str, Path]) -> Tuple[Dict[str, object], List[Span]]:
-    """One-shot load: (header, every span)."""
-    reader = SpanReader(path)
-    return reader.header, reader.read_all()
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policies.base import CachePolicy
     from repro.federation.federation import Federation
     from repro.obs.slo import SLOEngine
-    from repro.obs.spans import Tracer
+    from repro.obs.spans import SpanTracer
     from repro.sim.results import SimulationResult
 
 #: Largest request body accepted.  The biggest legitimate POST, a
@@ -121,7 +121,7 @@ class MediatorService:
         granularity: str = "table",
         policy_sees_weights: bool = True,
         instrumentation: Optional[Instrumentation] = None,
-        tracer: Optional["Tracer"] = None,
+        tracer: Optional["SpanTracer"] = None,
         slo_engine: Optional["SLOEngine"] = None,
         record_series: bool = True,
     ) -> None:

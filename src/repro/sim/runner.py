@@ -42,7 +42,7 @@ from repro.core.policies.base import CachePolicy
 from repro.errors import CacheError
 from repro.faults import FaultEngine, FaultSchedule, ResilientTransport
 from repro.federation.federation import Federation
-from repro.obs.spans import Tracer
+from repro.obs.spans import SpanTracer
 from repro.sim.results import SimulationResult, SweepPoint, SweepResult
 from repro.sim.simulator import Simulator
 from repro.workload.stream import QueryStream
@@ -126,7 +126,7 @@ def run_single(
     instrumentation: Optional[Instrumentation] = None,
     faults: Optional[FaultSchedule] = None,
     partial_results: bool = False,
-    tracer: Optional["Tracer"] = None,
+    tracer: Optional[SpanTracer] = None,
     **kwargs,
 ) -> SimulationResult:
     """Run one policy over one trace.

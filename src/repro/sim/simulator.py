@@ -26,7 +26,7 @@ from repro.core.pipeline import (
 )
 from repro.core.policies.base import CachePolicy
 from repro.federation.federation import Federation
-from repro.obs.spans import Tracer
+from repro.obs.spans import SpanTracer
 from repro.sim.results import SimulationResult
 from repro.sim.streaming import SampledSeries
 from repro.workload.stream import QueryStream
@@ -48,7 +48,7 @@ class Simulator:
         policy_sees_weights: bool = True,
         pipeline: Optional[DecisionPipeline] = None,
         instrumentation: Optional[Instrumentation] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         """Args:
             federation: Object metadata, link weights, servers.
@@ -67,9 +67,8 @@ class Simulator:
                 pipeline's own sink wins).
             tracer: Optional span tracer threaded into the decision
                 path (also ignored when ``pipeline`` is supplied).
-                Disabled tracers are normalized away; the per-query
-                step pays one ``is None`` test per traced site when
-                tracing is off.
+                ``None`` turns tracing off; the per-query step then pays
+                one ``is None`` test per traced site.
         """
         if pipeline is None:
             pipeline = DecisionPipeline(

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.cli import quiet_on_broken_pipe
 from repro.core.yield_model import YIELD_MODES, make_yield_source
 from repro.federation.mediator import Mediator
 from repro.workload.chunks import DEFAULT_CHUNK_SIZE, write_chunked
@@ -127,6 +128,7 @@ def run_chunked(
     return 0
 
 
+@quiet_on_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     profile = PROFILES[args.profile]
@@ -143,18 +145,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: -o/--output is required unless --chunked", file=sys.stderr)
         return 2
 
+    # Every file is written before anything is printed, so a reader
+    # that closes stdout early cannot cut the run short.
     trace = generate_trace(config, profile)
     output = Path(args.output)
     trace.save(output)
-    print(f"wrote {len(trace)} queries to {output}")
-    print(format_stats(trace_stats(trace)))
-
     if args.prepare:
         mediator = Mediator(build_federation(profile))
         source = make_yield_source(args.yields, mediator=mediator)
         prepared = prepare_trace(trace, mediator, source=source)
         prepared_path = output.with_suffix(output.suffix + ".prepared.jsonl")
         prepared.save(prepared_path)
+    print(f"wrote {len(trace)} queries to {output}")
+    print(format_stats(trace_stats(trace)))
+    if args.prepare:
         print(
             f"wrote {args.yields} yields to {prepared_path} "
             f"(sequence cost {prepared.sequence_bytes / 1e6:.2f} MB)"

@@ -10,7 +10,7 @@ catalog statistics without changing anything downstream.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.core.yield_model import (
     ExactYieldSource,
@@ -27,6 +27,12 @@ from repro.workload.trace import (
     Trace,
     TraceRecord,
 )
+
+
+def prepared_name(name: str, source: YieldSource) -> str:
+    """The name of ``name`` prepared through ``source``: exact yields
+    keep it, any other yield mode appends ``-<mode>``."""
+    return name if source.mode == "exact" else f"{name}-{source.mode}"
 
 
 def prepare_query(
@@ -66,7 +72,6 @@ def iter_prepared(
 def prepare_trace(
     trace: Trace,
     mediator: Mediator,
-    progress: Optional[Callable[[int, int], None]] = None,
     source: Optional[YieldSource] = None,
 ) -> PreparedTrace:
     """Measure every query of ``trace`` (exactly, unless told otherwise).
@@ -75,7 +80,6 @@ def prepare_trace(
         trace: Raw trace.
         mediator: Federation front-end used for evaluation.  No WAN
             traffic is charged during preparation.
-        progress: Optional callback ``(done, total)``.
         source: Yield source; defaults to executing each query
             (:class:`~repro.core.yield_model.ExactYieldSource`).
 
@@ -85,14 +89,11 @@ def prepare_trace(
     """
     if source is None:
         source = ExactYieldSource(mediator)
-    prepared = PreparedTrace(name=trace.name)
-    total = len(trace)
-    for done, record in enumerate(trace, start=1):
+    prepared = PreparedTrace(name=prepared_name(trace.name, source))
+    for record in trace:
         prepared.queries.append(  # repro-lint: allow[RPR007] batch preparation API; scale path uses GeneratedStream
             prepare_query(record, mediator, source)
         )
-        if progress is not None:
-            progress(done, total)
     prepared.compute_fingerprint()
     return prepared
 
@@ -113,10 +114,4 @@ def estimate_trace(
     source = make_yield_source(
         "estimated", mediator=mediator, estimator=estimator
     )
-    prepared = PreparedTrace(name=f"{trace.name}-estimated")
-    for record in trace:
-        prepared.queries.append(  # repro-lint: allow[RPR007] batch preparation API; scale path uses GeneratedStream
-            prepare_query(record, mediator, source)
-        )
-    prepared.compute_fingerprint()
-    return prepared
+    return prepare_trace(trace, mediator, source)

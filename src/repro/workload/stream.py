@@ -40,7 +40,7 @@ from repro.workload.generator import (
     iter_trace_records,
     trace_name,
 )
-from repro.workload.prepare import iter_prepared
+from repro.workload.prepare import iter_prepared, prepared_name
 from repro.workload.sdss_schema import SMALL, ScaleProfile
 from repro.workload.trace import PreparedQuery, PreparedTrace
 
@@ -140,8 +140,7 @@ class GeneratedStream(QueryStream):
         self.mediator = mediator
         self.source = source
         self.profile = profile
-        suffix = "" if source.mode == "exact" else f"-{source.mode}"
-        self.name = f"{trace_name(config)}{suffix}"
+        self.name = prepared_name(trace_name(config), source)
 
     def __iter__(self) -> Iterator[PreparedQuery]:
         records = iter_trace_records(self.config, self.profile)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.pipeline import DecisionPipeline
 from repro.core.policies.rate_profile import RateProfilePolicy
 from repro.errors import ConfigurationError
 from repro.federation import Federation
@@ -12,14 +11,11 @@ from repro.obs.spans import (
     STAGE_ACCOUNT,
     STAGE_DECIDE,
     STAGE_QUERY,
-    NullTracer,
     Span,
     SpanReader,
     SpanTracer,
     SpanWriter,
     aggregate_flame,
-    live_tracer,
-    read_spans,
     render_flamegraph,
     span_id_for,
     to_chrome_trace,
@@ -96,14 +92,6 @@ class TestSpanTracer:
         assert by_name["b"].end < by_name["a"].end
         assert by_name["a"].duration > by_name["b"].duration
 
-    def test_context_manager_records_error(self):
-        tracer = SpanTracer(keep_spans=True, wall_clock=False)
-        with pytest.raises(ValueError):
-            with tracer.span("risky"):
-                raise ValueError("boom")
-        (span,) = tracer.spans
-        assert dict(span.attrs)["error"] == "ValueError"
-
     def test_dangling_children_closed_on_finish(self):
         tracer = SpanTracer(keep_spans=True, wall_clock=False)
         root = tracer.start("root")
@@ -130,28 +118,6 @@ class TestSpanTracer:
         again = tracer.spans[0]
         assert (again.start, again.end) == (first.start, first.end)
         assert again.span_id == first.span_id
-
-
-class TestNullTracer:
-    def test_everything_is_noop(self):
-        tracer = NullTracer()
-        assert tracer.start("x") is None
-        assert tracer.finish(None) is None
-        with tracer.span("x") as active:
-            assert active is None
-        tracer.reset()
-
-    def test_live_tracer_normalizes(self, federation):
-        assert live_tracer(None) is None
-        assert live_tracer(NullTracer()) is None
-        real = SpanTracer()
-        assert live_tracer(real) is real
-        # A disabled tracer leaves the decision path exactly the bare
-        # (tracer=None) path: both drivers hold no tracer at all.
-        pipeline = DecisionPipeline(federation, tracer=NullTracer())
-        assert pipeline.tracer is None
-        simulator = Simulator(federation, tracer=NullTracer())
-        assert simulator.pipeline.tracer is None
 
 
 class TestSpanSerialization:
@@ -196,7 +162,8 @@ class TestSpanFile:
 
     def test_writer_reader_roundtrip(self, tmp_path):
         path = self._traced_run(tmp_path, "spans.jsonl")
-        header, spans = read_spans(path)
+        reader = SpanReader(path)
+        header, spans = reader.header, reader.read_all()
         assert header["schema"] == 1
         assert header["seed"] == 11
         assert header["run_label"] == "unit"
@@ -216,8 +183,8 @@ class TestSpanFile:
         first = self._traced_run(tmp_path, "a.jsonl", seed=21)
         second = self._traced_run(tmp_path, "b.jsonl", seed=22)
         assert first.read_bytes() != second.read_bytes()
-        _, spans_a = read_spans(first)
-        _, spans_b = read_spans(second)
+        spans_a = SpanReader(first).read_all()
+        spans_b = SpanReader(second).read_all()
         assert [s.name for s in spans_a] == [s.name for s in spans_b]
         assert [s.start for s in spans_a] == [s.start for s in spans_b]
 
@@ -315,7 +282,7 @@ class TestFlamegraph:
 class TestTracingEquivalence:
     """Tracing must never change what the run decides or charges."""
 
-    @pytest.mark.parametrize("tracer_off", [None, NullTracer()])
+    @pytest.mark.parametrize("tracer_off", [None])
     def test_decisions_and_wan_identical(self, tracer_off):
         from repro.core.instrumentation import Instrumentation
 

@@ -90,6 +90,63 @@ class TestMakeTrace:
             )
 
 
+    def test_estimated_prepared_file_and_chunks_share_a_name(self, tmp_path):
+        from repro.workload.chunks import ChunkedTrace
+
+        base = ["-n", "60", "--profile", "tiny", "--yields", "estimated"]
+        output = tmp_path / "t.jsonl"
+        assert make_trace_main(base + ["--prepare", "-o", str(output)]) == 0
+        assert make_trace_main(base + ["--chunked", str(tmp_path / "c")]) == 0
+        prepared = PreparedTrace.load(tmp_path / "t.jsonl.prepared.jsonl")
+        assert prepared.name == ChunkedTrace(tmp_path / "c").name
+        assert prepared.name == "edr-60-estimated"
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``| head``) is not an error:
+    the CLI exits 0 and prints no traceback.  Block-buffered output
+    small enough to fit the buffer only fails at the final flush."""
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("cli", ["make_trace", "repro-report"])
+    def test_exits_zero_with_empty_stderr(self, tmp_path, cli, buffering):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        if cli == "make_trace":
+            argv = [
+                "repro.workload.make_trace", "-n", "20", "--profile",
+                "tiny", "--prepare", "-o", str(tmp_path / "t.jsonl"),
+            ]
+        else:
+            from tests.obs.test_report import record_run
+
+            argv = ["repro.obs.report", str(record_run(tmp_path, "gds"))]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m"] + argv,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr.decode()) == (0, "")
+        if cli == "make_trace":
+            assert (tmp_path / "t.jsonl.prepared.jsonl").exists()
+
+
 class TestRunAll:
     def test_full_report(self, tmp_path, capsys, monkeypatch):
         import repro.experiments.common as common

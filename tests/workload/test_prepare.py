@@ -57,18 +57,6 @@ class TestPrepare:
         prepared = prepare_trace(trace, mediator)
         assert prepared.sequence_bytes == 168
 
-    def test_progress_callback(self, mediator):
-        calls = []
-        trace = make_trace(
-            "SELECT objID FROM PhotoObj", "SELECT z FROM SpecObj"
-        )
-        prepare_trace(
-            trace, mediator, progress=lambda done, total: calls.append(
-                (done, total)
-            )
-        )
-        assert calls == [(1, 2), (2, 2)]
-
     def test_template_propagated(self, mediator):
         trace = Trace("t")
         trace.append(
