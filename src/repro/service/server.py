@@ -397,15 +397,18 @@ class MediatorService:
                 status, ctype, payload = await self._route(
                     method.upper(), target.split("?", 1)[0], body
                 )
+                tokens = headers.get("connection", "").lower().split(",")
+                closing = "close" in (token.strip() for token in tokens)
                 head = (
                     f"HTTP/1.1 {status}\r\n"
                     f"Content-Type: {ctype}\r\n"
                     f"Content-Length: {len(payload)}\r\n"
-                    "Connection: keep-alive\r\n\r\n"
+                    f"Connection: {'close' if closing else 'keep-alive'}"
+                    "\r\n\r\n"
                 )
                 writer.write(head.encode("latin-1") + payload)
                 await writer.drain()
-                if self._shutdown.is_set():
+                if closing or self._shutdown.is_set():
                     break
         except (
             asyncio.IncompleteReadError,

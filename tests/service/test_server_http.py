@@ -255,6 +255,31 @@ class TestLiveServer:
             assert f"repro_decisions_total {len(prepared_trace)}\n" in metrics
             assert loadgen.check_conservation(metrics) == []
 
+    @pytest.mark.parametrize(
+        "connection", ["close", "Keep-Alive, Close"], ids=["close", "token-list"]
+    )
+    def test_connection_close_is_honoured(self, capacity, connection):
+        with ServerThread(capacity) as server:
+            host, port = server.url[len("http://"):].split(":")
+            with socket.create_connection((host, int(port)), 5) as sock:
+                sock.sendall(
+                    b"GET /stats HTTP/1.1\r\n"
+                    b"Connection: %s\r\n\r\n" % connection.encode()
+                )
+                # Read to EOF: a server that keeps the connection open
+                # makes this recv time out.
+                sock.settimeout(5)
+                answer = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    answer += chunk
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
+            assert b"Connection: close" in head.split(b"\r\n")
+            assert json.loads(body)["decided"] == 0
+
     def test_concurrent_tenants_conserve_over_http(
         self, prepared_trace, capacity
     ):

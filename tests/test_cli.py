@@ -505,3 +505,48 @@ class TestSimulateStreamed:
         )
         assert code == 2
         assert "object totals" in capsys.readouterr().err
+
+
+
+class TestExperimentModuleEntry:
+    """``python -m repro.experiments.<module>`` runs the module once: the
+    package does not import it first (which makes runpy warn and run its
+    top level twice)."""
+
+    @staticmethod
+    def _python(*args):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.run(
+            [sys.executable, *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @pytest.mark.parametrize("module", ["fig_resilience", "fig_fleet"])
+    def test_runs_without_double_import_warning(self, module):
+        done = self._python(
+            "-W", "error::RuntimeWarning", "-m",
+            f"repro.experiments.{module}", "--help",
+        )
+        assert (done.returncode, done.stderr.decode()) == (0, "")
+        assert b"usage:" in done.stdout
+
+    def test_figure_modules_load_on_first_access(self):
+        done = self._python("-c", "\n".join([
+            "import sys",
+            "import repro.experiments as experiments",
+            "assert 'repro.experiments.fig_fleet' not in sys.modules",
+            "from repro.experiments import fig9_cache_size_tables",
+            "assert experiments.fig_fleet.run",
+            "assert all(getattr(experiments, n) for n in experiments.__all__)",
+            "assert not hasattr(experiments, 'fig99_missing')",
+        ]))
+        assert (done.returncode, done.stderr.decode()) == (0, "")
