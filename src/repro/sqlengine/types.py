@@ -41,23 +41,6 @@ class ColumnType(enum.Enum):
         }
         return widths[self]
 
-    def validate(self, value: Any) -> bool:
-        """Return True when ``value`` is a legal instance of this type.
-
-        ``None`` (SQL NULL) is legal for every type.
-        """
-        if value is None:
-            return True
-        if self is ColumnType.BIGINT or self is ColumnType.INT:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is ColumnType.FLOAT:
-            if isinstance(value, bool):
-                return False
-            return isinstance(value, (int, float))
-        if self is ColumnType.STRING:
-            return isinstance(value, str)
-        return False
-
     def coerce(self, value: Any) -> Any:
         """Coerce ``value`` to this type's canonical Python representation.
 

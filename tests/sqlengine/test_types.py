@@ -1,4 +1,4 @@
-"""Unit tests for column types: widths, validation, coercion."""
+"""Unit tests for column types: widths and coercion."""
 
 import pytest
 
@@ -17,32 +17,6 @@ class TestDefaultWidths:
 
     def test_string_default_models_char16(self):
         assert ColumnType.STRING.default_width == 16
-
-
-class TestValidate:
-    def test_null_is_valid_for_every_type(self):
-        for ctype in ColumnType:
-            assert ctype.validate(None)
-
-    def test_int_accepts_python_int(self):
-        assert ColumnType.INT.validate(42)
-
-    def test_int_rejects_bool(self):
-        assert not ColumnType.INT.validate(True)
-
-    def test_bigint_rejects_float(self):
-        assert not ColumnType.BIGINT.validate(1.5)
-
-    def test_float_accepts_int_and_float(self):
-        assert ColumnType.FLOAT.validate(2)
-        assert ColumnType.FLOAT.validate(2.5)
-
-    def test_float_rejects_bool(self):
-        assert not ColumnType.FLOAT.validate(False)
-
-    def test_string_accepts_str_only(self):
-        assert ColumnType.STRING.validate("x")
-        assert not ColumnType.STRING.validate(3)
 
 
 class TestCoerce:
